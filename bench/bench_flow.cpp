@@ -36,7 +36,9 @@ void BM_FullYieldFlow(benchmark::State& state) {
 BENCHMARK(BM_FullYieldFlow)->Unit(benchmark::kMillisecond);
 
 // Arg = thread count at a fixed stream count: every arg computes the
-// identical numbers, so the curve is the pure scheduling speedup.
+// identical numbers, so the curve is the pure scheduling speedup (the
+// concurrent strategy solves plus the sharded directional MC), timed on
+// the wall clock.
 void BM_FullYieldFlowThreads(benchmark::State& state) {
   cny::experiments::PaperParams params;
   params.n_threads = static_cast<unsigned>(state.range(0));
@@ -50,6 +52,7 @@ BENCHMARK(BM_FullYieldFlowThreads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // The batched entry point: a 3-point yield-target sweep sharing one p_F(W)

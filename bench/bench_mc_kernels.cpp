@@ -148,6 +148,8 @@ BENCHMARK(BM_ChipYieldSimulation)->Unit(benchmark::kMillisecond);
 // --- parallel execution subsystem (exec/parallel_mc.h) ---------------------
 // Arg = thread count; the stream count is pinned at 16 so every thread
 // count computes the identical result — the speedup is pure scheduling.
+// Wall time (UseRealTime) is the measure: CPU time is the main thread's
+// alone, so items_per_second from it would credit work the pool did.
 
 void BM_UnionConditionalMcThreads(benchmark::State& state) {
   const double lambda = 0.117, w = 145.0;
@@ -168,6 +170,7 @@ BENCHMARK(BM_UnionConditionalMcThreads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ChipYieldSimulationThreads(benchmark::State& state) {
@@ -190,6 +193,7 @@ BENCHMARK(BM_ChipYieldSimulationThreads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_BootstrapThreads(benchmark::State& state) {
@@ -208,6 +212,7 @@ BENCHMARK(BM_BootstrapThreads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -212,7 +212,7 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol) {
         // the cap keeps relaxed terms honest.
         double eps = acc > 0.0 ? rel_tol * acc / rem_bound : 1e-15;
         eps = std::clamp(eps, 1e-15, 1e-6);
-        const double lg_cur = std::lgamma(a_hi + 1.0);
+        const double lg_cur = numeric::log_gamma(a_hi + 1.0);
         const double rho = std::exp(lg_prev - lg_cur);
         lg_prev = lg_cur;
         // This term's series denominators, shared by every node.

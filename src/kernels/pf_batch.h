@@ -1,8 +1,8 @@
 // Batch-of-widths p_F evaluation.
 //
 // Every heavy consumer of `cnt::pf_truncated` — the interpolant builder,
-// the W_min solver's bracket queries, circuit_yield's merged spectrum, the
-// server's coalesced groups — asks for *many widths against one pitch model
+// the W_min solver's bracket queries, circuit_yield's merged spectrum —
+// asks for *many widths against one pitch model
 // and one z*. `pf_truncated_batch` evaluates them in one pass: the widths
 // are packed four to an AVX2 register (one lane per width) and the PMF term
 // loop runs lane-parallel, sharing the per-term Γ-ratio, lgamma and

@@ -39,6 +39,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "numeric/special.h"
+
 namespace cny::kernels::detail {
 
 namespace {
@@ -331,7 +333,7 @@ void pf_terms_avx2(const PfGrid* const* grids, int m, double z,
       shape += static_cast<double>(k_int);
     } else {
       const double a_hi = static_cast<double>(n) * k;
-      const double lg_cur = std::lgamma(a_hi + 1.0);
+      const double lg_cur = numeric::log_gamma(a_hi + 1.0);
       const double rho = std::exp(lg_prev - lg_cur);
       lg_prev = lg_cur;
       // This term's series denominators, shared by every lane and node.

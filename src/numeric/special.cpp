@@ -53,7 +53,10 @@ double gamma_q_cf(double a, double x) {
 
 double log_gamma(double a) {
   CNY_EXPECT(a > 0.0);
-  return std::lgamma(a);
+  // The reentrant form: std::lgamma also stores the sign of Γ(a) in the
+  // global signgam, a data race between concurrent p_F evaluations.
+  int sign = 0;
+  return lgamma_r(a, &sign);
 }
 
 double gamma_p(double a, double x) {

@@ -1,6 +1,6 @@
 // Special functions needed by the CNT count model:
 //   * regularized incomplete gamma P(a,x)/Q(a,x) — Gamma CDF/CCDF
-//   * log-gamma (wraps std::lgamma, which is thread-safe for results)
+//   * log-gamma (reentrant lgamma_r: safe to call from concurrent threads)
 //   * log-sum-exp helpers for assembling tiny tail probabilities
 //
 // Implementations follow the classic series/continued-fraction split at

@@ -76,12 +76,10 @@ struct YieldServer::Impl {
   obs::Counter& c_overload_rejects = registry.counter("overload_rejects");
   obs::Counter& c_deadline_sheds = registry.counter("deadline_sheds");
   obs::Counter& c_faults_injected = registry.counter("faults_injected");
-  obs::Counter& c_merged_kernel_hits = registry.counter("merged_kernel_hits");
   obs::Gauge& g_queue_depth = registry.gauge("queue_depth");
   obs::Histogram& h_queue_wait = registry.histogram("queue_wait_us");
   obs::Histogram& h_evaluate = registry.histogram("evaluate_us");
   obs::Histogram& h_serialize = registry.histogram("serialize_us");
-  obs::Histogram& h_kernel_batch = registry.histogram("kernel_batch_us");
 
   SessionCache cache;
 
@@ -145,7 +143,6 @@ struct YieldServer::Impl {
     out.overload_rejects = c_overload_rejects.value();
     out.deadline_sheds = c_deadline_sheds.value();
     out.faults_injected = c_faults_injected.value();
-    out.merged_kernel_hits = c_merged_kernel_hits.value();
     return out;
   }
 
@@ -327,48 +324,6 @@ struct YieldServer::Impl {
       } catch (const std::exception& e) {
         frames[i] = encode_error("internal_error", e.what());
         failed[i] = 1;
-      }
-    }
-    // Merged-kernel pre-pass. Jobs in one group share a session key
-    // (library + pitch + corner), so any exact-path p_F width two jobs
-    // both need would otherwise be computed twice — once per job, since
-    // each run_flow only queries as it goes. The widths a job will ask
-    // for exactly are knowable up front: its design's width spectrum,
-    // minus whatever the session interpolant already covers (solver
-    // bracket queries all land inside the table). Deduplicate the union
-    // across the group and evaluate it in ONE batched kernel pass; the
-    // results land in the session model's memo, which is what the jobs
-    // read. Bit-identical by the kernels contract, so responses do not
-    // depend on whether the pre-pass ran. Scenario jobs that derive a
-    // different process corner rebuild their model inside run_flow and
-    // are skipped here (their widths would warm the wrong memo).
-    if (indices.size() >= 2) {
-      std::vector<double> widths;
-      for (std::size_t i = 0; i < indices.size(); ++i) {
-        if (failed[i]) continue;
-        const FlowRequest& request = batch[indices[i]].request;
-        if (request.params.scenario.removal) continue;
-        for (const auto& [w, n] : designs[i]->width_spectrum()) {
-          if (!session->model().interpolation_covers(w)) {
-            widths.push_back(w);
-          }
-        }
-      }
-      const std::size_t requested = widths.size();
-      std::sort(widths.begin(), widths.end());
-      widths.erase(std::unique(widths.begin(), widths.end()), widths.end());
-      if (requested > widths.size()) {
-        obs::Span span(trace(), "kernel_batch", "server");
-        span.arg("widths", std::to_string(widths.size()));
-        const auto k0 = std::chrono::steady_clock::now();
-        try {
-          (void)session->model().p_f_exact_batch(widths);
-          c_merged_kernel_hits.add(requested - widths.size());
-        } catch (const std::exception&) {
-          // Pure warm-up: a failing width fails its own job below, with
-          // that job's error frame.
-        }
-        h_kernel_batch.observe(us_since(k0));
       }
     }
     // Job-indexed slots + per-job determinism: scheduling cannot change

@@ -70,7 +70,7 @@ struct ServerOptions {
   /// Applied at the transport boundary of both the TCP and loopback paths.
   std::shared_ptr<FaultPlan> fault_plan;
   /// Trace sink for per-request spans (admission, queue_wait,
-  /// session_warm, interpolant_build, kernel_batch, evaluate, serialize).
+  /// session_warm, interpolant_build, evaluate, serialize).
   /// Null = tracing off, which is guaranteed zero-perturbation: responses
   /// and stores are byte-identical either way (pinned in tests).
   std::shared_ptr<obs::TraceSink> trace_sink;
@@ -109,9 +109,6 @@ struct ServerStats {
   std::uint64_t overload_rejects = 0;  ///< admission-queue rejections
   std::uint64_t deadline_sheds = 0;    ///< shed past-deadline, unevaluated
   std::uint64_t faults_injected = 0;   ///< fault-plan injections applied
-  /// Duplicate exact-path p_F(W) evaluations a coalesced group shared
-  /// through one batched kernel pass instead of recomputing per job.
-  std::uint64_t merged_kernel_hits = 0;
 };
 
 class YieldServer {

@@ -1,7 +1,10 @@
 #include "yield/flow.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <exception>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -9,6 +12,7 @@
 #include <utility>
 
 #include "exec/parallel_mc.h"
+#include "exec/thread_pool.h"
 #include "layout/aligned_active.h"
 #include "layout/row_placement.h"
 #include "power/penalty.h"
@@ -106,8 +110,7 @@ namespace {
 /// point (iterated once: relaxation depends weakly on the width used).
 double directional_relaxation(const netlist::Design& design,
                               const device::FailureModel& model,
-                              const FlowParams& params, double w_probe,
-                              double m_r_min_devices) {
+                              const FlowParams& params, double w_probe) {
   const auto offsets = layout::window_offsets(design, w_probe);
   CNY_EXPECT_MSG(!offsets.empty(), "design has no critical regions");
   std::vector<geom::Interval> windows;
@@ -125,8 +128,27 @@ double directional_relaxation(const netlist::Design& design,
   rows.l_cnt = params.l_cnt;
   rows.fets_per_um = params.fets_per_um;
   rows.m_min = 1;
-  (void)m_r_min_devices;
   return relaxation_factor(p_rf, p_f, rows);
+}
+
+/// One node of run_flow's stage graph: a strategy's solve, plus the slot
+/// its failure is parked in.
+struct Stage {
+  std::function<void()> run;
+  std::exception_ptr error;
+};
+
+/// Runs `stages` concurrently on up to `n_threads` threads. A failure is
+/// parked in its stage instead of propagating, so the caller rethrows in
+/// serial flow order however the stages were scheduled.
+void run_concurrently(const std::vector<Stage*>& stages, unsigned n_threads) {
+  exec::parallel_for(stages.size(), n_threads, [&](std::size_t i) {
+    try {
+      stages[i]->run();
+    } catch (...) {
+      stages[i]->error = std::current_exception();
+    }
+  });
 }
 
 }  // namespace
@@ -157,10 +179,10 @@ FlowResult run_flow(const celllib::Library& lib,
   // one table amortises them all. Installed on a local copy unless the
   // caller's model already covers the bracket (e.g. run_flow_batch's
   // shared table), so the caller's exactness is never altered.
+  const WminRequest bracket;
   std::optional<device::FailureModel> interp_model;
   const device::FailureModel* eval_model = corner_ptr;
   if (params.use_interpolant) {
-    const WminRequest bracket;
     if (!corner_ptr->interpolation_covers(bracket.w_lo) ||
         !corner_ptr->interpolation_covers(bracket.w_hi)) {
       // Install on the flow-local corner model if one already exists,
@@ -209,22 +231,19 @@ FlowResult run_flow(const celllib::Library& lib,
     if (engine.shorts_active()) r.required_p_rm = engine.required_p_rm(r.w_min);
   };
 
-  // Uncorrelated baseline.
-  const auto base = solve(1.0);
-  out.m_min_uncorrelated = base.m_min;
-
-  // Directional-only: probe the relaxation at the baseline W_min.
-  const double dir_relax =
-      directional_relaxation(design, model, params, base.w_min, mrmin);
+  out.strategies.resize(4);
+  StrategyResult& uncorrelated = out.strategies[0];
+  StrategyResult& directional = out.strategies[1];
+  StrategyResult& aligned1 = out.strategies[2];
+  StrategyResult& aligned2 = out.strategies[3];
+  uncorrelated.strategy = Strategy::Uncorrelated;
+  directional.strategy = Strategy::DirectionalOnly;
+  aligned1.strategy = Strategy::AlignedOneRow;
+  aligned2.strategy = Strategy::AlignedTwoRows;
 
   // FiniteLength: the aligned-credit rescale, probed (like the directional
   // relaxation) at the baseline W_min's functional-CNT density.
   double length_scale = 1.0;
-  if (engine.length_active()) {
-    const double lambda_s = -std::log(model.p_f(base.w_min)) / base.w_min;
-    length_scale = engine.aligned_length_scale(lambda_s, base.w_min);
-  }
-
   const auto eval_aligned = [&](int rows_per_polarity, StrategyResult& r) {
     double relax = mrmin / (rows_per_polarity == 2 ? 2.0 : 1.0);
     if (engine.length_active()) {
@@ -245,36 +264,63 @@ FlowResult run_flow(const celllib::Library& lib,
     fill_scenario(r, solved);
   };
 
-  {
-    StrategyResult r;
-    r.strategy = Strategy::Uncorrelated;
-    r.relaxation = 1.0;
-    r.w_min = base.w_min;
-    r.power_penalty = power::upsizing_penalty(spectrum, base.w_min);
-    fill_scenario(r, base);
-    out.strategies.push_back(r);
+  // Stage graph. A solve depends only on its relaxation, so the solves
+  // whose relaxation is known run concurrently:
+  //
+  //   1. uncorrelated, and both aligned solves (their credit is M_Rmin)
+  //   2. the directional MC probe at the uncorrelated W_min
+  //   3. directional, and both aligned solves when FiniteLength rescales
+  //      their credit by a probe at the uncorrelated W_min
+  //
+  // Solves are pure and the model's memo holds pure values, so every
+  // result is bit-identical to the one-solve-at-a-time order, at any
+  // thread count. Failures are rethrown in that serial order (uncorrelated,
+  // directional, aligned 1 row, aligned 2 rows), so the error a caller
+  // sees does not depend on scheduling either.
+  //
+  // Every solve opens on the same W bracket. Its endpoints are evaluated
+  // once, in one batched pass, before the solves fork, so concurrent
+  // solves never race to compute the same exact p_F (the upper endpoint
+  // is the most expensive width a cold flow evaluates).
+  (void)model.p_f_batch(std::array{bracket.w_lo, bracket.w_hi});
+
+  WminResult base;
+  double dir_relax = 1.0;
+  Stage base_stage{[&] { base = solve(1.0); }, nullptr};
+  Stage dir_stage{[&] {
+                    directional.relaxation = dir_relax;
+                    const auto solved = solve(dir_relax);
+                    directional.w_min = solved.w_min;
+                    directional.power_penalty =
+                        power::upsizing_penalty(spectrum, solved.w_min);
+                    fill_scenario(directional, solved);
+                  },
+                  nullptr};
+  Stage one_row{[&] { eval_aligned(1, aligned1); }, nullptr};
+  Stage two_rows{[&] { eval_aligned(2, aligned2); }, nullptr};
+  std::vector<Stage*> first = {&base_stage};
+  std::vector<Stage*> last = {&dir_stage};
+  auto& aligned_stage = engine.length_active() ? last : first;
+  aligned_stage.insert(aligned_stage.end(), {&one_row, &two_rows});
+
+  run_concurrently(first, params.n_threads);
+  if (base_stage.error) std::rethrow_exception(base_stage.error);
+  out.m_min_uncorrelated = base.m_min;
+
+  dir_relax = directional_relaxation(design, model, params, base.w_min);
+  if (engine.length_active()) {
+    const double lambda_s = -std::log(model.p_f(base.w_min)) / base.w_min;
+    length_scale = engine.aligned_length_scale(lambda_s, base.w_min);
   }
-  {
-    StrategyResult r;
-    r.strategy = Strategy::DirectionalOnly;
-    r.relaxation = dir_relax;
-    const auto solved = solve(dir_relax);
-    r.w_min = solved.w_min;
-    r.power_penalty = power::upsizing_penalty(spectrum, solved.w_min);
-    fill_scenario(r, solved);
-    out.strategies.push_back(r);
-  }
-  {
-    StrategyResult r;
-    r.strategy = Strategy::AlignedOneRow;
-    eval_aligned(1, r);
-    out.strategies.push_back(r);
-  }
-  {
-    StrategyResult r;
-    r.strategy = Strategy::AlignedTwoRows;
-    eval_aligned(2, r);
-    out.strategies.push_back(r);
+
+  uncorrelated.relaxation = 1.0;
+  uncorrelated.w_min = base.w_min;
+  uncorrelated.power_penalty = power::upsizing_penalty(spectrum, base.w_min);
+  fill_scenario(uncorrelated, base);
+
+  run_concurrently(last, params.n_threads);
+  for (const Stage* stage : {&dir_stage, &one_row, &two_rows}) {
+    if (stage->error) std::rethrow_exception(stage->error);
   }
   return out;
 }

@@ -123,8 +123,6 @@ WminResult solve_w_min(const WidthSpectrum& spectrum,
     m_min = count;
   }
   CNY_ENSURE_MSG(result.converged, "W_min fixpoint did not converge");
-
-  result.verification = circuit_yield(spectrum, model, result.w_min);
   return result;
 }
 

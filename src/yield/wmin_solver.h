@@ -52,10 +52,11 @@ struct WminResult {
   int iterations = 0;          ///< fixpoint iterations used
   bool converged = false;
   double short_mode_yield = 1.0; ///< Y_S(w_min); 1 when the hook is absent
-  YieldBreakdown verification; ///< full-spectrum yield at the solution
 };
 
-/// Solves W_min for the given width spectrum and device model.
+/// Solves W_min for the given width spectrum and device model. The
+/// solution is not re-verified against the full spectrum: callers that
+/// want the chip yield at W_min ask circuit_yield() for it.
 [[nodiscard]] WminResult solve_w_min(const WidthSpectrum& spectrum,
                                      const device::FailureModel& model,
                                      const WminRequest& request);

@@ -287,7 +287,7 @@ TEST(McKernels, ChipYieldBitEqualAcrossSimdModesAndThreads) {
 
 TEST(Kernels, RunFlowResponseByteIdenticalAcrossSimdModes) {
   // The end-to-end acceptance pin: a full run_flow — solver iterations,
-  // interpolant build, circuit-yield verification, conditional MC — must
+  // interpolant build, batched bracket queries, conditional MC — must
   // produce the *same bytes* on the wire whichever backend ran the
   // kernels. A fresh model per mode keeps the memo from hiding a
   // divergent kernel behind a warm cache.

@@ -11,12 +11,16 @@
 //   * RemovalFrontier earns its corner from the probit frontier, batches
 //     share one warm model per derived corner, and batched scenario jobs
 //     equal their solo run_flow twins bit for bit;
+//   * run_flow's concurrent stage graph answers (and fails) identically at
+//     any thread count, whichever stage the aligned solves run in;
 //   * the registry resolves names and the shared validator rejects bad
 //     values identically at every entry point.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "celllib/generator.h"
 #include "cnt/removal_tradeoff.h"
@@ -170,16 +174,31 @@ TEST(ScenarioEngine, ShortModeRaisesCombinedWmin) {
   }
 }
 
+// Concurrent stages park their failures and rethrow them in serial
+// strategy order, so the message is the same at any thread count, with
+// the aligned solves in either stage.
 TEST(ScenarioEngine, InfeasibleShortModeFailsWithActionableMessage) {
-  const auto model = paper_model();
-  auto params = small_params();
-  params.scenario.shorts = scenario::ShortFailure{0.999, 0.01};
-  try {
-    (void)yield::run_flow(library(), design(), model, params);
-    FAIL() << "expected the infeasible short mode to throw";
-  } catch (const ContractViolation& e) {
-    EXPECT_NE(std::string(e.what()).find("short mode"), std::string::npos);
+  std::vector<std::string> messages;
+  for (const bool length : {false, true}) {
+    for (const unsigned threads : {1u, 4u}) {
+      const auto model = paper_model();
+      auto params = small_params();
+      params.n_threads = threads;
+      params.scenario.shorts = scenario::ShortFailure{0.999, 0.01};
+      if (length) {
+        params.scenario.length = scenario::FiniteLength{params.l_cnt, 0.5, 16};
+      }
+      try {
+        (void)yield::run_flow(library(), design(), model, params);
+        ADD_FAILURE() << "expected the infeasible short mode to throw";
+      } catch (const ContractViolation& e) {
+        messages.emplace_back(e.what());
+      }
+    }
   }
+  ASSERT_EQ(messages.size(), 4u);
+  EXPECT_NE(messages[0].find("short mode"), std::string::npos);
+  for (const auto& message : messages) EXPECT_EQ(message, messages[0]);
 }
 
 TEST(ScenarioEngine, LengthVariabilityShrinksAlignedCredit) {
@@ -254,6 +273,31 @@ TEST(ScenarioEngine, BatchSharesOneModelPerDerivedCornerAndMatchesSolo) {
       expect_strategy_bits_equal(results[j].strategies[i],
                                  solo.strategies[i]);
     }
+  }
+}
+
+// --- concurrent stage graph -------------------------------------------------
+
+// run_flow overlaps the solves whose relaxation is known; FiniteLength
+// moves the aligned solves behind the uncorrelated probe. Either graph,
+// with the short-mode fixpoint inside every solve, must answer with the
+// serial flow's bytes at any thread count (a cold model each run, so no
+// memo carries work across runs).
+TEST(ScenarioEngine, StageGraphIsThreadCountInvariantWithShortsAndLength) {
+  for (const bool length : {false, true}) {
+    std::vector<std::string> encoded;
+    for (const unsigned threads : {1u, 4u}) {
+      const auto model = paper_model();
+      auto params = small_params();
+      params.n_threads = threads;
+      params.scenario.shorts = scenario::ShortFailure{};
+      if (length) {
+        params.scenario.length = scenario::FiniteLength{params.l_cnt, 0.5, 16};
+      }
+      encoded.push_back(service::encode_flow_response(
+          yield::run_flow(library(), design(), model, params)));
+    }
+    EXPECT_EQ(encoded[1], encoded[0]) << "length " << length;
   }
 }
 

@@ -658,45 +658,9 @@ TEST(ServiceServer, PongSurfacesStatsCounters) {
   const std::string pong = client.ping();
   for (const char* key :
        {"\"overload_rejects\"", "\"deadline_sheds\"", "\"faults_injected\"",
-        "\"frames_in\"", "\"responses\"", "\"merged_kernel_hits\""}) {
+        "\"frames_in\"", "\"responses\""}) {
     EXPECT_NE(pong.find(key), std::string::npos) << key;
   }
-  server.stop();
-}
-
-// A coalesced group of structurally identical jobs (one session key, same
-// design) shares its exact-path p_F widths through one batched kernel
-// pre-pass; the merged_kernel_hits counter records the duplicate
-// evaluations saved. A solo request has nothing to merge with and must
-// leave the counter at zero.
-TEST(ServiceServer, CoalescedGroupMergesExactKernelEvaluations) {
-  {
-    service::YieldServer server(loopback_options());
-    server.start();
-    server.submit(service::encode_flow_request(small_request(1, 0.9))).get();
-    EXPECT_EQ(server.stats().merged_kernel_hits, 0u)
-        << "a solo request must not count merged hits";
-    server.stop();
-  }
-  auto options = loopback_options();
-  options.coalesce_window_us = 20000;  // make the burst coalesce for sure
-  service::YieldServer server(options);
-  server.start();
-  std::vector<std::future<std::string>> burst;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    burst.push_back(
-        server.submit(service::encode_flow_request(small_request(seed, 0.9))));
-  }
-  for (auto& f : burst) {
-    EXPECT_EQ(service::decode_frame(f.get()).type, FrameType::FlowResponse);
-  }
-  const auto stats = server.stats();
-  EXPECT_LT(stats.batches, stats.batched_requests)
-      << "burst should have coalesced";
-  // The default design's spectrum has widths above the session
-  // interpolant's bracket (the exact path); every job past the first in a
-  // group re-requests them, and each re-request is one merged hit.
-  EXPECT_GT(stats.merged_kernel_hits, 0u);
   server.stop();
 }
 
@@ -1112,7 +1076,7 @@ TEST(ServiceServer, EveryStatsCounterIsExercisedSomewhere) {
 
   {
     // Server A: burst past a tiny admission queue (responses, batches,
-    // batched_requests, merged_kernel_hits, sessions_built,
+    // batched_requests, sessions_built,
     // overload_rejects), then a doomed deadline, a garbage frame, and a
     // TCP ping (connections, frames_in).
     auto options = loopback_options();
@@ -1167,10 +1131,10 @@ TEST(ServiceServer, EveryStatsCounterIsExercisedSomewhere) {
   }
 
   const std::set<std::string> expected{
-      "batched_requests", "batches",           "connections",
-      "deadline_sheds",   "errors",            "faults_injected",
-      "frames_in",        "merged_kernel_hits", "overload_rejects",
-      "responses",        "sessions_built"};
+      "batched_requests", "batches",          "connections",
+      "deadline_sheds",   "errors",           "faults_injected",
+      "frames_in",        "overload_rejects", "responses",
+      "sessions_built"};
   std::set<std::string> names;
   for (const auto& [name, value] : observed) {
     names.insert(name);

@@ -139,7 +139,7 @@ TEST(WminSolver, VerificationMeetsYieldTarget) {
   const auto res = solve_w_min(s, model, req);
   // Upsizing to the solved W_min must achieve the desired yield (the
   // approximation neglects non-minimum devices, so allow slight slack).
-  EXPECT_GT(res.verification.yield_exact, 0.88);
+  EXPECT_GT(circuit_yield(s, model, res.w_min).yield_exact, 0.88);
 }
 
 TEST(WminSolver, RejectsUnreachableTargets) {

@@ -207,7 +207,7 @@ int cmd_wmin(const util::Cli& cli) {
               res.w_min, res.p_f_target,
               static_cast<unsigned long long>(res.m_min), res.iterations);
   std::printf("verification: chip yield at W_min = %.4f\n",
-              res.verification.yield_exact);
+              yield::circuit_yield(spectrum, model, res.w_min).yield_exact);
   return 0;
 }
 
