@@ -70,16 +70,4 @@ RootResult brent(const std::function<double(double)>& f, double lo, double hi,
   return {b, fb, max_iter, false};
 }
 
-RootResult invert_decreasing(const std::function<double(double)>& f,
-                             double target, double lo, double hi,
-                             double x_tol) {
-  CNY_EXPECT(lo < hi);
-  const double flo = f(lo), fhi = f(hi);
-  CNY_EXPECT_MSG(flo >= target && target >= fhi,
-                 "invert_decreasing: target outside [f(hi), f(lo)]");
-  if (flo == target) return {lo, 0.0, 0, true};
-  if (fhi == target) return {hi, 0.0, 0, true};
-  return brent([&](double x) { return f(x) - target; }, lo, hi, x_tol);
-}
-
 }  // namespace cny::numeric

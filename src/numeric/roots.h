@@ -1,4 +1,4 @@
-// Scalar root finding and monotone inversion (used by the W_min solver).
+// Scalar root finding (used by the pitch and short-mode models).
 #pragma once
 
 #include <functional>
@@ -17,12 +17,5 @@ struct RootResult {
 [[nodiscard]] RootResult brent(const std::function<double(double)>& f,
                                double lo, double hi, double x_tol = 1e-10,
                                int max_iter = 200);
-
-/// Inverts a *decreasing* function: finds x in [lo, hi] with f(x) = target.
-/// Expands understanding of callers like pF(W) which fall monotonically.
-/// Requires f(lo) >= target >= f(hi).
-[[nodiscard]] RootResult invert_decreasing(
-    const std::function<double(double)>& f, double target, double lo,
-    double hi, double x_tol = 1e-9);
 
 }  // namespace cny::numeric

@@ -1,5 +1,6 @@
 #include "service/json.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 
@@ -268,13 +269,28 @@ class JsonParser {
       std::string key = string_body();
       skip_ws();
       expect(':');
-      v.set(std::move(key), value(depth + 1));
+      v.members_.emplace_back(std::move(key), value(depth + 1));
       skip_ws();
       const char c = peek();
       ++pos_;
-      if (c == '}') return v;
+      if (c == '}') {
+        reject_duplicate_keys(v.members_);
+        return v;
+      }
       if (c != ',') fail("expected ',' or '}' in object");
     }
+  }
+
+  /// One sort per object instead of Json::set's scan per member, so a
+  /// hostile frame with k keys costs O(k log k), not O(k^2).
+  static void reject_duplicate_keys(
+      const std::vector<std::pair<std::string, Json>>& members) {
+    std::vector<std::string_view> keys;
+    keys.reserve(members.size());
+    for (const auto& [k, _] : members) keys.push_back(k);
+    std::sort(keys.begin(), keys.end());
+    const auto dup = std::adjacent_find(keys.begin(), keys.end());
+    if (dup != keys.end()) fail("duplicate key '" + std::string(*dup) + "'");
   }
 
   Json array(int depth) {

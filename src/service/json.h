@@ -77,7 +77,7 @@ class Json {
   [[nodiscard]] static Json parse(std::string_view text);
 
  private:
-  friend class JsonParser;  ///< stores parsed number tokens verbatim
+  friend class JsonParser;  ///< stores number tokens and members directly
 
   Type type_ = Type::Null;
   bool bool_ = false;

@@ -1,7 +1,6 @@
 #include "yield/flow.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <exception>
 #include <functional>
@@ -278,11 +277,10 @@ FlowResult run_flow(const celllib::Library& lib,
   // directional, aligned 1 row, aligned 2 rows), so the error a caller
   // sees does not depend on scheduling either.
   //
-  // Every solve opens on the same W bracket. Its endpoints are evaluated
-  // once, in one batched pass, before the solves fork, so concurrent
-  // solves never race to compute the same exact p_F (the upper endpoint
-  // is the most expensive width a cold flow evaluates).
-  (void)model.p_f_batch(std::array{bracket.w_lo, bracket.w_hi});
+  // Every solve opens on the same start pair. It is evaluated once, in
+  // one batched pass, before the solves fork, so concurrent solves never
+  // race to compute the same exact p_F.
+  (void)model.p_f_batch(start_pair(bracket.w_lo, bracket.w_hi));
 
   WminResult base;
   double dir_relax = 1.0;

@@ -13,6 +13,7 @@
 // inversion step.
 #pragma once
 
+#include <array>
 #include <functional>
 
 #include "device/failure_model.h"
@@ -50,6 +51,7 @@ struct WminResult {
   double p_f_target = 0.0;     ///< (1-Y)/M_min · relaxation
   std::uint64_t m_min = 0;     ///< devices counted as minimum-size
   int iterations = 0;          ///< fixpoint iterations used
+  int p_f_queries = 0;         ///< p_F queries after the start pair
   bool converged = false;
   double short_mode_yield = 1.0; ///< Y_S(w_min); 1 when the hook is absent
 };
@@ -61,9 +63,15 @@ struct WminResult {
                                      const device::FailureModel& model,
                                      const WminRequest& request);
 
-/// The graphical inner step alone: W such that p_F(W) = target.
+/// The graphical inner step alone: W such that p_F(W) = target, within
+/// 1e-6 nm.
 [[nodiscard]] double invert_p_f(const device::FailureModel& model,
                                 double p_f_target, double w_lo = 4.0,
                                 double w_hi = 400.0);
+
+/// The two widths every inversion on [w_lo, w_hi] evaluates first: w_lo and
+/// the bracket's geometric midpoint (4 and 40 nm by default). p_F(w_hi) is
+/// evaluated only when an iterate reaches it.
+[[nodiscard]] std::array<double, 2> start_pair(double w_lo, double w_hi);
 
 }  // namespace cny::yield

@@ -15,6 +15,7 @@
 #include "util/contracts.h"
 #include "yield/circuit_yield.h"
 #include "yield/empty_window.h"
+#include "yield/flow.h"
 #include "yield/monte_carlo.h"
 #include "yield/row_model.h"
 #include "yield/wmin_solver.h"
@@ -145,6 +146,35 @@ TEST(Integration, WminSolutionIsTightOnTheCurve) {
   const double target = res.p_f_target;
   EXPECT_NEAR(model.p_f(res.w_min) / target, 1.0, 1e-3);
   EXPECT_GT(model.p_f(res.w_min - 2.0), target);
+}
+
+TEST(Integration, CanonicalFlowSolvesMakeAtMostSixteenPfQueries) {
+  // Deterministic work-count gate: the canonical cold flow (nangate45-like
+  // library, OpenRISC-like design, Y = 0.90, M = 1e8) re-solved strategy by
+  // strategy on fresh models. Brent's method made 35 queries here.
+  const auto lib = celllib::make_nangate45_like();
+  const auto design = netlist::make_openrisc_like(lib);
+  const auto model = [] {
+    return device::FailureModel(cnt::PitchModel(4.0, 0.9), cnt::fig21_worst());
+  };
+  yield::FlowParams params;
+  params.yield_desired = 0.90;
+  params.chip_transistors = 1e8;
+  params.mc_samples = 20000;
+  params.mc_streams = 16;
+  const auto flow = yield::run_flow(lib, design, model(), params);
+  const auto spectrum = yield::scale_spectrum(
+      design.width_spectrum(), 1.0, 1e8 / double(design.n_transistors()));
+  int queries = 0;
+  for (const auto& strategy : flow.strategies) {
+    yield::WminRequest req;
+    req.yield_desired = params.yield_desired;
+    req.relaxation = strategy.relaxation;
+    const auto solved = yield::solve_w_min(spectrum, model(), req);
+    EXPECT_EQ(solved.w_min, strategy.w_min);
+    queries += solved.p_f_queries;
+  }
+  EXPECT_LE(queries, 16);
 }
 
 TEST(Integration, EndToEndDeterminism) {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -25,7 +24,6 @@
 #include "kernels/mc_kernels.h"
 #include "kernels/pf_batch.h"
 #include "obs/metrics.h"
-#include "kernels/rng_x4.h"
 #include "rng/distributions.h"
 #include "rng/engine.h"
 #include "exec/mc_policy.h"
@@ -137,32 +135,6 @@ TEST(Dispatch, ReportsConsistentState) {
   ModeGuard guard(SimdMode::Off);
   EXPECT_FALSE(cny::kernels::simd_active());
   EXPECT_STREQ(cny::kernels::backend_name(), "scalar");
-}
-
-TEST(RngX4, LanesBitEqualToScalarStreams) {
-  const std::uint64_t seed = 0xC0FFEE123ull;
-  cny::kernels::Xoshiro256x4 x4(seed, 0);
-  const cny::rng::Xoshiro256 root(seed);
-  std::array<cny::rng::Xoshiro256, 4> streams = {
-      root.make_stream(0), root.make_stream(1), root.make_stream(2),
-      root.make_stream(3)};
-  for (int step = 0; step < 1000; ++step) {
-    std::uint64_t out[4];
-    x4.next(out);
-    for (int l = 0; l < 4; ++l) EXPECT_EQ(out[l], streams[l]()) << l;
-  }
-  // And the uniform mapping matches Xoshiro256::uniform exactly.
-  cny::kernels::Xoshiro256x4 u4(seed, 2);
-  std::array<cny::rng::Xoshiro256, 4> ustreams = {
-      root.make_stream(2), root.make_stream(3), root.make_stream(4),
-      root.make_stream(5)};
-  for (int step = 0; step < 100; ++step) {
-    double u[4];
-    u4.uniforms(u);
-    for (int l = 0; l < 4; ++l) {
-      EXPECT_EQ(bits_of(u[l]), bits_of(ustreams[l].uniform()));
-    }
-  }
 }
 
 TEST(McKernels, ThinningMatchesScalarPredicateInBothModes) {

@@ -116,18 +116,6 @@ TEST(Roots, BrentRejectsNonBracketing) {
                cny::ContractViolation);
 }
 
-TEST(Roots, InvertDecreasingExponential) {
-  const auto f = [](double x) { return std::exp(-x); };
-  const auto res = invert_decreasing(f, 0.1, 0.0, 10.0);
-  EXPECT_TRUE(res.converged);
-  EXPECT_NEAR(res.x, -std::log(0.1), 1e-8);
-}
-
-TEST(Roots, InvertDecreasingRejectsOutOfRangeTarget) {
-  const auto f = [](double x) { return std::exp(-x); };
-  EXPECT_THROW(invert_decreasing(f, 2.0, 0.0, 10.0), cny::ContractViolation);
-}
-
 // -------------------------------------------------------------- integrate
 
 TEST(Integrate, AdaptivePolynomialExact) {

@@ -86,6 +86,30 @@ TEST(ServiceJson, RejectsGarbage) {
   EXPECT_THROW(Json::parse("{\"a\":1,\"a\":2}"), service::JsonError);
 }
 
+TEST(ServiceJson, MaxSizeObjectParsesWellUnderASecond) {
+  // 80k keys in ~870 KB, under the frame cap. A duplicate-key scan per
+  // member made this frame cost 11.7 s.
+  std::string text = "{";
+  for (int i = 0; i < 80000; ++i) {
+    if (i > 0) text += ',';
+    text += "\"k" + std::to_string(i) + "\":0";
+  }
+  ASSERT_LT(text.size() + 1, service::kMaxPayloadBytes);
+  const auto t0 = std::chrono::steady_clock::now();
+  const Json v = Json::parse(text + "}");
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(v.members().size(), 80000u);
+  EXPECT_LT(took.count(), 1.0);
+  // One repeated key in the same frame is still named.
+  try {
+    (void)Json::parse(text + ",\"k4242\":1}");
+    ADD_FAILURE() << "duplicate key accepted";
+  } catch (const service::JsonError& e) {
+    EXPECT_STREQ(e.what(), "duplicate key 'k4242'");
+  }
+}
+
 // --- protocol codecs -------------------------------------------------------
 
 TEST(ServiceProtocol, FlowParamsRoundTripByteStable) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "cnt/removal_tradeoff.h"
 #include "yield/circuit_yield.h"
 #include "yield/row_model.h"
 #include "yield/wmin_solver.h"
@@ -149,6 +152,89 @@ TEST(WminSolver, RejectsUnreachableTargets) {
   req.yield_desired = 0.90;
   req.w_hi = 30.0;  // bracket too small: p_F(30) is still huge
   EXPECT_THROW(solve_w_min(s, model, req), cny::ContractViolation);
+}
+
+/// Fails unless `fn` raises a ContractViolation whose message has `what`.
+template <typename Fn>
+void expect_violation(Fn fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "no ContractViolation, expected '" << what << "'";
+  } catch (const cny::ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+TEST(WminSolver, RootAboveDefaultBracketThrowsBracketTooLow) {
+  // p_F(400 nm) ~ 1e-22 on the paper curve: a 1e-30 target's root lies
+  // past the default w_hi, so the inversion must evaluate w_hi and refuse.
+  const auto model = paper_model();
+  expect_violation([&] { (void)invert_p_f(model, 1e-30); },
+                   "W bracket too low");
+  expect_violation([&] { (void)invert_p_f(model, 0.9, 10.0, 400.0); },
+                   "W bracket too high");
+}
+
+/// W with log p_F(W) = log(target) by plain bisection to 1e-8 nm.
+double bisection_reference(const FailureModel& model, double target,
+                           double lo, double hi) {
+  const double t = std::log(target);
+  while (hi - lo > 1e-8) {
+    const double mid = 0.5 * (lo + hi);
+    (std::log(model.p_f(mid)) > t ? lo : hi) = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+
+TEST(WminSolver, InvertPfMatchesBisectionReference) {
+  struct Case {
+    FailureModel model;
+    std::vector<double> targets;
+  };
+  const cny::cnt::RemovalTradeoff frontier(3.2);
+  std::vector<Case> cases;
+  for (const double cv : {0.3, 0.9, 1.0}) {
+    cases.push_back(
+        {FailureModel(PitchModel(4.0, cv), cny::cnt::fig21_worst()),
+         {1e-4, 3e-9}});
+  }
+  for (const double p_rm : {0.9, 0.9999}) {
+    cases.push_back(
+        {FailureModel(PitchModel(4.0, 0.9), frontier.process_at(p_rm)),
+         {1e-6}});
+  }
+  for (auto& c : cases) {
+    // Targets near w_lo: the root sits just above the bracket floor.
+    const double p_lo = c.model.p_f(4.0);
+    c.targets.push_back(p_lo * (1.0 - 1e-3));
+    c.targets.push_back(c.model.p_f(4.5));
+    for (const double target : c.targets) {
+      const double w = invert_p_f(c.model, target);
+      // Bisect a 2e-5 nm window around w: a root outside it would pull
+      // the reference onto a window edge, 1e-5 nm away.
+      const double ref =
+          bisection_reference(c.model, target, w - 1e-5, w + 1e-5);
+      EXPECT_NEAR(w, ref, 1e-6)
+          << "cv " << c.model.pitch().cv() << " p_fail "
+          << c.model.process().p_fail() << " target " << target;
+    }
+    EXPECT_EQ(invert_p_f(c.model, p_lo), 4.0);
+  }
+}
+
+TEST(WminSolver, PoissonPitchConvergesInTwoQueries) {
+  // CV = 1: the pitch is exponential, log p_F is exactly linear in W, and
+  // the secant through the start pair lands on the root.
+  const FailureModel model(PitchModel(4.0, 1.0), cny::cnt::fig21_worst());
+  const WidthSpectrum s = {{100.0, 33000000}};
+  for (const double relaxation : {1.0, 27.5, 360.0}) {
+    WminRequest req;
+    req.fixed_m_min = 33000000;
+    req.relaxation = relaxation;
+    const auto res = solve_w_min(s, model, req);
+    EXPECT_LE(res.p_f_queries, 2) << relaxation;
+    EXPECT_NEAR(model.p_f(res.w_min) / res.p_f_target, 1.0, 1e-6);
+  }
 }
 
 // --------------------------------------------------------- row model

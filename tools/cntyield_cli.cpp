@@ -203,9 +203,11 @@ int cmd_wmin(const util::Cli& cli) {
   const auto res = yield::solve_w_min(spectrum, model, req);
   std::printf("design %s on %s (scaled to M = %.3g)\n", design.name().c_str(),
               lib.name().c_str(), chip_m);
-  std::printf("W_min = %.2f nm  (p_F* = %.3e, M_min = %llu, %d iterations)\n",
+  std::printf("W_min = %.2f nm  (p_F* = %.3e, M_min = %llu, %d iterations, "
+              "%d p_F queries)\n",
               res.w_min, res.p_f_target,
-              static_cast<unsigned long long>(res.m_min), res.iterations);
+              static_cast<unsigned long long>(res.m_min), res.iterations,
+              res.p_f_queries);
   std::printf("verification: chip yield at W_min = %.4f\n",
               yield::circuit_yield(spectrum, model, res.w_min).yield_exact);
   return 0;
