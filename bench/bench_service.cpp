@@ -12,16 +12,14 @@
 //
 // BM_ServiceSessionWarmup prices what the session cache amortises: the
 // library + model + interpolant build every client would otherwise pay
-// cold. BM_ServicePingRoundTrip is the protocol-overhead floor.
+// cold. BM_ServicePingRoundTrip is the protocol-overhead floor: Ping is
+// answered with a constant Pong, and bench-smoke fails above 10 us.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <future>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "obs/resource.h"
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
@@ -110,23 +108,4 @@ BENCHMARK(BM_ServiceSessionWarmup)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// Expanded BENCHMARK_MAIN() so the telemetry-overhead CI gate can run the
-// identical benchmarks with the background resource sampler active:
-// CNY_SAMPLE_MS=<interval> starts an obs::ResourceSampler for the whole
-// run (unset or 0 = plain run, byte-for-byte the old BENCHMARK_MAIN).
-int main(int argc, char** argv) {
-  std::optional<cny::obs::ResourceSampler> sampler;
-  if (const char* interval = std::getenv("CNY_SAMPLE_MS")) {
-    const unsigned ms = static_cast<unsigned>(std::strtoul(interval, nullptr, 10));
-    if (ms > 0) {
-      cny::obs::ResourceSampler::Options options;
-      options.interval_ms = ms;
-      sampler.emplace(options);
-    }
-  }
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

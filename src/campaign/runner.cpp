@@ -18,6 +18,7 @@
 #include "netlist/design.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
+#include "service/json.h"
 #include "service/server.h"
 #include "service/session_cache.h"
 #include "yield/flow.h"
@@ -25,6 +26,15 @@
 namespace cny::campaign {
 
 namespace {
+
+/// Sessions a loopback server has warmed, read from its canonical stats
+/// payload.
+std::uint64_t sessions_built(const service::YieldServer& server) {
+  return service::Json::parse(server.stats_json())
+      .at("stats")
+      .at("sessions_built")
+      .as_u64();
+}
 
 /// One pending point's outcome, chunk-local until the in-order append.
 struct Outcome {
@@ -352,7 +362,7 @@ CampaignStats run_campaign(const std::vector<CompiledPoint>& points,
     done += n;
     chunk_span.finish();
     chunk_index += 1;
-    stats.sessions_built = server != nullptr ? server->stats().sessions_built
+    stats.sessions_built = server != nullptr ? sessions_built(*server)
                                              : cache->sessions_built();
     // One /proc sample per checkpoint, shared by the sidecar line and the
     // checkpoint event — write-only telemetry either way.
@@ -376,7 +386,7 @@ CampaignStats run_campaign(const std::vector<CompiledPoint>& points,
   }
 
   if (server != nullptr) {
-    stats.sessions_built = server->stats().sessions_built;
+    stats.sessions_built = sessions_built(*server);
     server->stop();
   } else if (cache != nullptr) {
     stats.sessions_built = cache->sessions_built();

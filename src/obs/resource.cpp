@@ -3,13 +3,10 @@
 #include <dirent.h>
 #include <unistd.h>
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
-#include <mutex>
-#include <stdexcept>
-#include <thread>
+#include <string>
+
+#include "obs/metrics.h"
 
 namespace cny::obs {
 
@@ -55,20 +52,6 @@ std::uint64_t count_open_fds() {
   // The directory stream itself holds one descriptor while we count.
   if (count > 0) --count;
   return count;
-}
-
-std::uint64_t wall_ms_now() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-std::uint64_t mono_us_now() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 }  // namespace
@@ -132,10 +115,10 @@ ResourceUsage sample_resources() {
   return usage;
 }
 
-void refresh_resource_gauges(Registry* registry) {
+void refresh_resource_gauges() {
   const ResourceUsage usage = sample_resources();
   if (!usage.ok) return;
-  Registry& r = registry != nullptr ? *registry : Registry::global();
+  Registry& r = Registry::global();
   r.gauge("process.rss_kb").set(static_cast<std::int64_t>(usage.rss_kb));
   r.gauge("process.vm_hwm_kb").set(static_cast<std::int64_t>(usage.vm_hwm_kb));
   r.gauge("process.cpu_user_ms")
@@ -144,84 +127,6 @@ void refresh_resource_gauges(Registry* registry) {
       .set(static_cast<std::int64_t>(usage.cpu_sys_ms));
   r.gauge("process.threads").set(static_cast<std::int64_t>(usage.threads));
   r.gauge("process.open_fds").set(static_cast<std::int64_t>(usage.open_fds));
-}
-
-struct ResourceSampler::Impl {
-  Options options;
-  std::FILE* export_file = nullptr;
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool stopping = false;
-  std::mutex tick_mutex;  ///< serialises sample_now() against the thread
-  std::thread thread;
-};
-
-ResourceSampler::ResourceSampler(Options options)
-    : impl_(std::make_unique<Impl>()) {
-  if (options.interval_ms == 0) options.interval_ms = 1;
-  impl_->options = std::move(options);
-  if (!impl_->options.export_path.empty()) {
-    impl_->export_file = std::fopen(impl_->options.export_path.c_str(), "w");
-    if (impl_->export_file == nullptr) {
-      throw std::runtime_error("cannot open snapshot export file: " +
-                               impl_->options.export_path);
-    }
-  }
-  tick();  // gauges are live from construction, not one interval later
-  impl_->thread = std::thread([this] { run(); });
-}
-
-ResourceSampler::~ResourceSampler() {
-  stop();
-  if (impl_->export_file != nullptr) std::fclose(impl_->export_file);
-}
-
-void ResourceSampler::sample_now() { tick(); }
-
-void ResourceSampler::stop() {
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->stopping = true;
-  }
-  impl_->cv.notify_all();
-  if (impl_->thread.joinable()) impl_->thread.join();
-}
-
-void ResourceSampler::run() {
-  std::unique_lock<std::mutex> lock(impl_->mutex);
-  while (!impl_->stopping) {
-    impl_->cv.wait_for(lock,
-                       std::chrono::milliseconds(impl_->options.interval_ms));
-    if (impl_->stopping) break;
-    lock.unlock();
-    tick();
-    lock.lock();
-  }
-}
-
-void ResourceSampler::tick() {
-  const std::lock_guard<std::mutex> lock(impl_->tick_mutex);
-  refresh_resource_gauges(impl_->options.registry);
-  if (impl_->options.ring == nullptr && impl_->export_file == nullptr) return;
-  TimedSnapshot snapshot;
-  snapshot.wall_ms = wall_ms_now();
-  snapshot.mono_us = mono_us_now();
-  if (impl_->options.snapshot_source) {
-    snapshot.metrics = impl_->options.snapshot_source();
-  } else {
-    Registry& r = impl_->options.registry != nullptr
-                      ? *impl_->options.registry
-                      : Registry::global();
-    snapshot.metrics = r.snapshot();
-  }
-  if (impl_->export_file != nullptr) {
-    const std::string line = snapshot_jsonl_line(snapshot);
-    std::fprintf(impl_->export_file, "%s\n", line.c_str());
-    std::fflush(impl_->export_file);
-  }
-  if (impl_->options.ring != nullptr) {
-    impl_->options.ring->push(std::move(snapshot));
-  }
 }
 
 }  // namespace cny::obs

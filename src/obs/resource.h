@@ -2,32 +2,22 @@
 // /proc/self/{status,stat,fd} — resident set size, its high-water mark,
 // accumulated CPU time, thread and descriptor counts.
 //
-// Two layers:
-//   * sample_resources() — one synchronous sample. Pure observation (three
-//     /proc reads, no allocation beyond the result), safe to call from any
-//     thread at any time; `ok` is false on platforms without /proc, and
-//     every field stays zero, so callers never branch on platform.
-//   * ResourceSampler — a background thread sampling on a fixed interval
-//     into `process.*` gauges of a Registry (so the stats payload and the
-//     /metrics endpoint surface memory/CPU without any caller plumbing)
-//     and, optionally, pushing a timestamped MetricsSnapshot into a
-//     SnapshotRing (+ appending a JSONL export line) per tick — the
-//     continuous-telemetry feed `cntyield_cli top` and the snapshot-rate
-//     tests read.
+// sample_resources() takes one synchronous sample. It is pure observation
+// (three /proc reads, no allocation beyond the result) and safe to call
+// from any thread at any time; `ok` is false on platforms without /proc,
+// and every field stays zero, so callers never branch on platform.
+// refresh_resource_gauges() copies one sample into the process.* gauges of
+// Registry::global(); the Stats frame and every /metrics scrape call it, so
+// the gauges are current whenever someone reads them.
 //
 // Like every obs facility, this is observability plumbing, never
 // semantics: nothing in the library branches on a sampled value, so a
-// running sampler cannot move a response or store byte (pinned in
+// sample cannot move a response or store byte (pinned in
 // tests/test_service.cpp and test_campaign.cpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <string_view>
-
-#include "obs/metrics.h"
-#include "obs/snapshot.h"
 
 namespace cny::obs {
 
@@ -58,56 +48,8 @@ void parse_status_text(std::string_view text, ResourceUsage& usage);
 void parse_stat_text(std::string_view text, long ticks_per_s,
                      ResourceUsage& usage);
 
-/// Background resource sampler. Construction registers the `process.*`
-/// gauges and starts the thread; destruction (or stop()) joins it. The
-/// thread waits on a condition variable, so stop() returns within one
-/// wakeup regardless of the interval.
-class ResourceSampler {
- public:
-  struct Options {
-    /// Milliseconds between samples. Clamped to >= 1.
-    unsigned interval_ms = 1000;
-    /// Where the process.{rss_kb,vm_hwm_kb,cpu_user_ms,cpu_sys_ms,
-    /// threads,open_fds} gauges live. Null = Registry::global(), which is
-    /// what makes them appear in every stats payload's "process" block.
-    Registry* registry = nullptr;
-    /// When set, each tick pushes {wall_ms, mono_us, snapshot_source()}
-    /// here — the time series `top` rates are computed from.
-    SnapshotRing* ring = nullptr;
-    /// What goes into the ring (typically a server registry's snapshot).
-    /// Null with a ring set = snapshot the gauge registry itself.
-    std::function<MetricsSnapshot()> snapshot_source;
-    /// When non-empty, each tick also appends one self-contained JSONL
-    /// line ({"wall_ms","mono_us","counters","gauges"}) here, flushed
-    /// immediately — a killed run keeps every complete line.
-    std::string export_path;
-  };
-
-  explicit ResourceSampler(Options options);
-  ~ResourceSampler();
-  ResourceSampler(const ResourceSampler&) = delete;
-  ResourceSampler& operator=(const ResourceSampler&) = delete;
-
-  /// Takes one sample synchronously (the same work a tick does). The
-  /// /metrics scrape path calls this so a scrape never reads gauges more
-  /// than one interval stale — and it is how tests drive the sampler
-  /// deterministically.
-  void sample_now();
-
-  /// Stops and joins the thread. Idempotent; the destructor calls it.
-  void stop();
-
- private:
-  void run();
-  void tick();
-
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Refreshes the process.* resource gauges of `registry` (null = global)
-/// from one synchronous sample — what stats_payload() and the /metrics
-/// handler call so RSS is current even without a background sampler.
-void refresh_resource_gauges(Registry* registry = nullptr);
+/// Refreshes the process.* resource gauges of Registry::global() from one
+/// synchronous sample. Leaves them untouched when /proc is unreadable.
+void refresh_resource_gauges();
 
 }  // namespace cny::obs

@@ -101,12 +101,13 @@ class YieldClient {
   /// exhausting the retry policy, if the failure was transient).
   [[nodiscard]] yield::FlowResult call(const FlowRequest& request);
 
-  /// Liveness probe; returns the server's version payload (JSON text).
+  /// Liveness probe; returns the server's constant Pong payload,
+  /// {"version":...,"protocol":N} (JSON text).
   [[nodiscard]] std::string ping();
 
   /// Metrics snapshot: sends a Stats frame and returns the StatsReply's
-  /// canonical-JSON payload (the same shape ping() carries — see
-  /// YieldServer::stats_json()). Retried like ping().
+  /// canonical-JSON payload (YieldServer::stats_json()). Retried like
+  /// ping().
   [[nodiscard]] std::string stats();
 
   /// Attaches a trace sink (null = off): every call()/ping()/stats()

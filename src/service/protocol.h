@@ -42,12 +42,12 @@
 // optional "trace_id" field (an opaque client-chosen token <= 64 chars of
 // [0-9A-Za-z._-]; the server attaches it to every span the request
 // produces, see obs/trace.h), and a Stats frame is answered with a
-// StatsReply carrying the server's canonical-JSON metrics snapshot — the
-// same payload Pong carries, so `--ping` and `stats` read one format.
-// trace_id is omitted when empty, so an untraced request payload is
-// byte-identical to its 0.3.0 form (pinned in tests) and campaign FNV
-// request keys never see trace ids. Responses carry no trace fields at
-// all: tracing cannot perturb a single response byte.
+// StatsReply carrying the server's canonical-JSON metrics snapshot. Pong
+// stays the constant {"version","protocol"} body, so a liveness probe
+// costs no metrics work. trace_id is omitted when empty, so an untraced
+// request payload is byte-identical to its 0.3.0 form (pinned in tests)
+// and campaign FNV request keys never see trace ids. Responses carry no
+// trace fields at all: tracing cannot perturb a single response byte.
 #pragma once
 
 #include <cstdint>

@@ -25,7 +25,6 @@
 #include "obs/metrics.h"
 #include "obs/openmetrics.h"
 #include "obs/resource.h"
-#include "obs/snapshot.h"
 #include "util/contracts.h"
 #include "yield/flow.h"
 
@@ -61,11 +60,20 @@ struct YieldServer::Impl {
 
   ServerOptions options;
 
-  // Per-server metrics registry — ServerStats is a view over it (every
-  // bump below is one relaxed atomic add; the old stats mutex is gone).
-  // Counter references are resolved once here; the session-built metrics
-  // ("sessions_built", "session_warm_us", "interpolant_build_us") are
-  // registered by cache.attach_observability in the ctor.
+  /// The whole Pong frame, built once: Ping and the Shutdown ack carry
+  /// only {"version","protocol"}, so a liveness probe never builds the
+  /// stats payload or reads /proc.
+  const std::string pong_frame = [] {
+    Json v = Json::object();
+    v.set("version", Json::string(kVersionString));
+    v.set("protocol", Json::number(std::uint64_t{kProtocolVersion}));
+    return encode_frame(FrameType::Pong, v.dump());
+  }();
+
+  // Per-server metrics registry; every bump below is one relaxed atomic
+  // add. Counter references are resolved once here; the session-built
+  // metrics ("sessions_built", "session_warm_us", "interpolant_build_us")
+  // are registered by cache.attach_observability in the ctor.
   obs::Registry registry;
   obs::Counter& c_frames_in = registry.counter("frames_in");
   obs::Counter& c_responses = registry.counter("responses");
@@ -82,11 +90,6 @@ struct YieldServer::Impl {
   obs::Histogram& h_serialize = registry.histogram("serialize_us");
 
   SessionCache cache;
-
-  /// Time series the resource sampler feeds (server counters + process
-  /// gauges per tick); sized for ~4 minutes at the default 1 s interval.
-  obs::SnapshotRing snapshot_ring{256};
-  std::optional<obs::ResourceSampler> sampler;
 
   [[nodiscard]] obs::TraceSink* trace() const {
     return options.trace_sink.get();
@@ -131,32 +134,13 @@ struct YieldServer::Impl {
   std::uint16_t bound_port = 0;
   std::uint16_t metrics_bound_port = 0;
 
-  ServerStats stats_snapshot() const {
-    ServerStats out;
-    out.frames_in = c_frames_in.value();
-    out.responses = c_responses.value();
-    out.errors = c_errors.value();
-    out.batches = c_batches.value();
-    out.batched_requests = c_batched_requests.value();
-    out.sessions_built = cache.sessions_built();
-    out.connections = c_connections.value();
-    out.overload_rejects = c_overload_rejects.value();
-    out.deadline_sheds = c_deadline_sheds.value();
-    out.faults_injected = c_faults_injected.value();
-    return out;
-  }
-
-  /// The canonical-JSON metrics snapshot every stats consumer shares:
-  /// Pong carries it (the `--ping` health probe doubles as the stats
-  /// endpoint), StatsReply carries it, serve's shutdown log prints it.
-  /// "stats" holds this server's counters (registry enumeration, so a
-  /// counter added tomorrow appears without touching this function),
+  /// The canonical-JSON metrics snapshot (YieldServer::stats_json()):
+  /// StatsReply carries it and serve's shutdown log prints it. "stats"
+  /// holds this server's counters (registry enumeration, so a counter
+  /// added tomorrow appears without touching this function),
   /// "gauges"/"histograms" its levels and per-stage latencies, and
-  /// "process" the process-wide exec.*/kernels.* metrics.
+  /// "process" the process-wide exec.*/kernels.*/process.* metrics.
   std::string stats_payload() const {
-    // The "process" block should carry current RSS/CPU even when no
-    // background sampler runs — one synchronous /proc read per stats
-    // frame, well off the request path.
     obs::refresh_resource_gauges();
     const obs::MetricsSnapshot own = registry.snapshot();
     const obs::MetricsSnapshot process = obs::Registry::global().snapshot();
@@ -578,7 +562,7 @@ struct YieldServer::Impl {
     }
     switch (decoded.type) {
       case FrameType::Ping:
-        return ready_future(encode_frame(FrameType::Pong, stats_payload()));
+        return ready_future(pong_frame);
       case FrameType::Stats:
         return ready_future(
             encode_frame(FrameType::StatsReply, stats_payload()));
@@ -589,7 +573,7 @@ struct YieldServer::Impl {
           shutdown_requested = true;
         }
         shutdown_cv.notify_all();
-        return ready_future(encode_frame(FrameType::Pong, stats_payload()));
+        return ready_future(pong_frame);
       }
       case FrameType::FlowRequest: break;
       default:
@@ -702,33 +686,11 @@ void YieldServer::start() {
         bind_loopback(impl.options.metrics_port, "bind/listen (metrics)");
     impl.metrics_acceptor = std::thread([&impl] { impl.metrics_accept_loop(); });
   }
-  if (impl.options.sample_interval_ms > 0) {
-    obs::ResourceSampler::Options sampler_options;
-    sampler_options.interval_ms = impl.options.sample_interval_ms;
-    sampler_options.ring = &impl.snapshot_ring;
-    sampler_options.export_path = impl.options.snapshot_export_path;
-    // Each ring entry carries this server's counters plus the process-wide
-    // gauges (exec.*, process.*) so one time series answers both "how fast"
-    // and "how big".
-    sampler_options.snapshot_source = [&impl] {
-      obs::MetricsSnapshot merged = impl.registry.snapshot();
-      const obs::MetricsSnapshot process =
-          obs::Registry::global().snapshot();
-      merged.counters.insert(merged.counters.end(),
-                             process.counters.begin(),
-                             process.counters.end());
-      merged.gauges.insert(merged.gauges.end(), process.gauges.begin(),
-                           process.gauges.end());
-      return merged;
-    };
-    impl.sampler.emplace(std::move(sampler_options));
-  }
   impl.dispatcher = std::thread([&impl] { impl.dispatch_loop(); });
   obs::LogEvent(impl.log(), obs::LogLevel::Info, "server.start")
       .num("port", impl.options.listen ? impl.bound_port : 0)
       .num("metrics_port",
-           impl.options.metrics_listen ? impl.metrics_bound_port : 0)
-      .num("sample_interval_ms", impl.options.sample_interval_ms);
+           impl.options.metrics_listen ? impl.metrics_bound_port : 0);
 }
 
 void YieldServer::stop() {
@@ -767,7 +729,6 @@ void YieldServer::stop() {
     ::close(impl.metrics_fd);
     impl.metrics_fd = -1;
   }
-  impl.sampler.reset();
   obs::LogEvent(impl.log(), obs::LogLevel::Info, "server.stop")
       .num("frames_in", static_cast<std::int64_t>(impl.c_frames_in.value()))
       .num("responses", static_cast<std::int64_t>(impl.c_responses.value()))
@@ -868,8 +829,6 @@ bool YieldServer::wait_shutdown_for(unsigned timeout_ms) {
                impl.stop_flag.load(std::memory_order_relaxed);
       });
 }
-
-ServerStats YieldServer::stats() const { return impl_->stats_snapshot(); }
 
 std::string YieldServer::stats_json() const { return impl_->stats_payload(); }
 

@@ -84,31 +84,6 @@ struct ServerOptions {
   /// deadline sheds). Null = logging off; same zero-perturbation contract
   /// as tracing.
   std::shared_ptr<obs::Log> log;
-  /// Milliseconds between background resource samples (process.* gauges
-  /// plus one SnapshotRing entry per tick). 0 = sampler off; scrapes and
-  /// stats frames still refresh the gauges synchronously.
-  unsigned sample_interval_ms = 0;
-  /// When non-empty (with the sampler on), each tick appends one
-  /// self-contained snapshot JSONL line here.
-  std::string snapshot_export_path;
-};
-
-/// A point-in-time view over the server's obs::Registry counters (each
-/// read atomically; the struct exists so call sites keep named-field
-/// access and tests pin that every counter stays covered). The same
-/// registry also feeds the per-stage latency histograms of the stats
-/// frame — see YieldServer::stats_json().
-struct ServerStats {
-  std::uint64_t frames_in = 0;         ///< frames submitted (all types)
-  std::uint64_t responses = 0;         ///< FlowResponse frames sent
-  std::uint64_t errors = 0;            ///< Error frames sent
-  std::uint64_t batches = 0;           ///< coalesced group evaluations
-  std::uint64_t batched_requests = 0;  ///< requests across those batches
-  std::uint64_t sessions_built = 0;    ///< session-cache misses
-  std::uint64_t connections = 0;       ///< TCP connections accepted
-  std::uint64_t overload_rejects = 0;  ///< admission-queue rejections
-  std::uint64_t deadline_sheds = 0;    ///< shed past-deadline, unevaluated
-  std::uint64_t faults_injected = 0;   ///< fault-plan injections applied
 };
 
 class YieldServer {
@@ -140,8 +115,9 @@ class YieldServer {
   [[nodiscard]] std::uint16_t metrics_port() const;
 
   /// Loopback entry: one request frame in, one response frame out, through
-  /// the full protocol path. Ping/Shutdown/malformed frames resolve
-  /// immediately; FlowRequests resolve after their coalesced batch runs.
+  /// the full protocol path. Ping/Stats/Shutdown/malformed frames resolve
+  /// immediately (Ping and Shutdown with the constant Pong built at
+  /// construction); FlowRequests resolve after their coalesced batch runs.
   [[nodiscard]] std::future<std::string> submit(std::string frame);
 
   /// Blocks until a Shutdown frame arrives or stop() is called.
@@ -152,13 +128,10 @@ class YieldServer {
   /// with its own signal polling (the CLI's SIGTERM graceful drain).
   [[nodiscard]] bool wait_shutdown_for(unsigned timeout_ms);
 
-  [[nodiscard]] ServerStats stats() const;
-
-  /// The canonical-JSON metrics snapshot — the exact payload Pong and
-  /// StatsReply carry on the wire ({"version","protocol","stats":{...
-  /// counters...},"gauges":{...},"histograms":{...},"process":{...}}), so
-  /// the CLI's shutdown log, `stats` subcommand and `--ping` all render
-  /// one format.
+  /// The canonical-JSON metrics snapshot the StatsReply frame carries and
+  /// `cntyield_cli serve` logs at shutdown: {"version","protocol","stats":
+  /// {...counters...},"gauges":{...},"histograms":{...},"process":{...}}.
+  /// Each call refreshes the process.* resource gauges first.
   [[nodiscard]] std::string stats_json() const;
 
   /// The OpenMetrics text page `GET /metrics` serves (this server's

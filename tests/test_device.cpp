@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "cnt/count_distribution.h"
-#include "device/drive_current.h"
 #include "device/failure_model.h"
 #include "util/contracts.h"
 
@@ -171,70 +170,6 @@ TEST(FailureModel, LockLightReadPathSurvivesThreadHammer) {
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(model.p_f_exact(widths[i]), exact_ref[i]);
   }
-}
-
-// --------------------------------------------------------------- current
-
-TEST(DriveCurrent, StatisticalAveragingOneOverSqrtN) {
-  // σ(Ion)/μ(Ion) must fall like 1/√N: quadrupling the width must halve
-  // the CV (within MC tolerance). This is the paper's Sec 1 premise.
-  const PitchModel pitch(4.0, 1.0);
-  const ProcessParams proc = cny::cnt::fig21_mid();
-  const cny::cnt::DiameterModel diam;
-  const TubeCurrentModel tube;
-  cny::rng::Xoshiro256 rng(92);
-  const auto narrow = simulate_on_current(pitch, proc, diam, tube, 80.0,
-                                          20000, rng);
-  const auto wide = simulate_on_current(pitch, proc, diam, tube, 320.0,
-                                        20000, rng);
-  EXPECT_NEAR(narrow.cv / wide.cv, 2.0, 0.25);
-}
-
-TEST(DriveCurrent, AnalyticCvMatchesSimulation) {
-  const PitchModel pitch(4.0, 0.9);
-  const ProcessParams proc = cny::cnt::fig21_worst();
-  const cny::cnt::DiameterModel diam;
-  const TubeCurrentModel tube;
-  cny::rng::Xoshiro256 rng(93);
-  for (double w : {120.0, 240.0}) {
-    const auto sim = simulate_on_current(pitch, proc, diam, tube, w, 30000,
-                                         rng);
-    const double analytic = analytic_current_cv(pitch, proc, diam, tube, w);
-    EXPECT_NEAR(sim.cv / analytic, 1.0, 0.08) << "w=" << w;
-  }
-}
-
-TEST(DriveCurrent, MeanScalesWithWidth) {
-  const PitchModel pitch(4.0, 1.0);
-  const ProcessParams proc = cny::cnt::fig21_mid();
-  const cny::cnt::DiameterModel diam;
-  const TubeCurrentModel tube;
-  cny::rng::Xoshiro256 rng(94);
-  const auto a = simulate_on_current(pitch, proc, diam, tube, 100.0, 8000,
-                                     rng);
-  const auto b = simulate_on_current(pitch, proc, diam, tube, 200.0, 8000,
-                                     rng);
-  EXPECT_NEAR(b.mean / a.mean, 2.0, 0.1);
-  EXPECT_NEAR(b.mean_count / a.mean_count, 2.0, 0.05);
-}
-
-TEST(DriveCurrent, FailedDevicesCounted) {
-  // Tiny width → frequent zero-functional-tube devices.
-  const PitchModel pitch(4.0, 1.0);
-  const ProcessParams proc = cny::cnt::fig21_worst();
-  const cny::cnt::DiameterModel diam;
-  const TubeCurrentModel tube;
-  cny::rng::Xoshiro256 rng(95);
-  const auto res = simulate_on_current(pitch, proc, diam, tube, 6.0, 5000,
-                                       rng);
-  EXPECT_GT(res.failures, 0u);
-  EXPECT_LT(res.failures, res.devices);
-}
-
-TEST(TubeCurrentModel, LinearInDiameter) {
-  const TubeCurrentModel tube{10.0};
-  EXPECT_DOUBLE_EQ(tube.current(1.5), 15.0);
-  EXPECT_DOUBLE_EQ(tube.current(-1.0), 0.0);
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// Tests for the YieldFlow entry point, the intra-cell routing estimator,
-// and the P² streaming quantile.
+// Tests for the YieldFlow entry point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,10 +7,8 @@
 
 #include "celllib/generator.h"
 #include "layout/aligned_active.h"
-#include "layout/router_lite.h"
 #include "netlist/design_generator.h"
 #include "rng/engine.h"
-#include "stats/quantile.h"
 #include "util/contracts.h"
 #include "yield/flow.h"
 
@@ -94,101 +91,6 @@ TEST(Flow, RejectsMismatchedDesign) {
                                    cnt::fig21_worst());
   EXPECT_THROW(yield::run_flow(lib_b, design, model, {}),
                cny::ContractViolation);
-}
-
-// ---------------------------------------------------------------- router
-
-TEST(RouterLite, WirelengthPositiveAndStable) {
-  const auto lib = celllib::make_nangate45_like();
-  const auto costs = layout::library_routing_costs(lib);
-  ASSERT_EQ(costs.size(), lib.size());
-  for (const auto& c : costs) {
-    EXPECT_GT(c.wirelength, 0.0) << c.cell;
-  }
-  // Deterministic.
-  EXPECT_DOUBLE_EQ(costs[3].wirelength,
-                   layout::estimate_wirelength(lib.cells()[3]));
-}
-
-TEST(RouterLite, MoreTransistorsMoreWire) {
-  const auto lib = celllib::make_nangate45_like();
-  const auto* inv = lib.find("INV_X1");
-  const auto* fa = lib.find("FA_X1");
-  ASSERT_NE(inv, nullptr);
-  ASSERT_NE(fa, nullptr);
-  EXPECT_GT(layout::estimate_wirelength(*fa),
-            layout::estimate_wirelength(*inv));
-}
-
-TEST(RouterLite, AlignedActiveRoutingDeltaIsModest) {
-  // The transform preserves pins (Sec 3.3), so intra-cell routing shifts by
-  // only a few percent library-wide.
-  const auto lib = celllib::make_nangate45_like();
-  layout::AlignOptions options;
-  options.w_min = 103.0;
-  const auto aligned = layout::align_active(lib, options, 140.0);
-  const auto delta = layout::routing_delta(lib, aligned.library);
-  EXPECT_GT(delta.before, 0.0);
-  EXPECT_LT(std::fabs(delta.relative()), 0.15);
-  EXPECT_LT(delta.worst_cell, 0.8);
-}
-
-TEST(RouterLite, DeltaRejectsMismatchedLibraries) {
-  const auto a = celllib::make_nangate45_like();
-  const auto b = celllib::make_commercial65_like();
-  EXPECT_THROW(layout::routing_delta(a, b), cny::ContractViolation);
-}
-
-// -------------------------------------------------------------- quantile
-
-TEST(P2Quantile, ExactForSmallSamples) {
-  stats::P2Quantile q(0.5);
-  q.add(3.0);
-  EXPECT_DOUBLE_EQ(q.value(), 3.0);
-  q.add(1.0);
-  q.add(2.0);
-  EXPECT_DOUBLE_EQ(q.value(), 2.0);  // median of {1,2,3}
-}
-
-TEST(P2Quantile, MedianOfUniform) {
-  rng::Xoshiro256 rng(601);
-  stats::P2Quantile q(0.5);
-  for (int i = 0; i < 100000; ++i) q.add(rng.uniform());
-  EXPECT_NEAR(q.value(), 0.5, 0.01);
-}
-
-TEST(P2Quantile, TailQuantileOfExponential) {
-  rng::Xoshiro256 rng(602);
-  stats::P2Quantile q(0.99);
-  std::vector<double> all;
-  for (int i = 0; i < 200000; ++i) {
-    const double x = -std::log1p(-rng.uniform());
-    q.add(x);
-    all.push_back(x);
-  }
-  std::sort(all.begin(), all.end());
-  const double exact = all[static_cast<std::size_t>(0.99 * (all.size() - 1))];
-  EXPECT_NEAR(q.value() / exact, 1.0, 0.05);
-  // Analytic check too: -ln(0.01) ≈ 4.605.
-  EXPECT_NEAR(q.value(), 4.605, 0.25);
-}
-
-TEST(P2Quantile, MonotoneAcrossQuantiles) {
-  rng::Xoshiro256 rng(603);
-  stats::P2Quantile q10(0.1), q50(0.5), q90(0.9);
-  for (int i = 0; i < 50000; ++i) {
-    const double x = rng.uniform() * rng.uniform();
-    q10.add(x);
-    q50.add(x);
-    q90.add(x);
-  }
-  EXPECT_LT(q10.value(), q50.value());
-  EXPECT_LT(q50.value(), q90.value());
-}
-
-TEST(P2Quantile, RejectsInvalidQuantile) {
-  EXPECT_THROW(stats::P2Quantile(0.0), cny::ContractViolation);
-  EXPECT_THROW(stats::P2Quantile(1.0), cny::ContractViolation);
 }
 
 }  // namespace

@@ -7,11 +7,8 @@
 //   * trace sink: the JSONL file is tolerant-parseable line by line
 //     (Chrome trace-event shape), args are JSON-escaped, a null-sink Span
 //     is inert, and trace ids are process-unique;
-//   * snapshot ring: oldest-first indexing survives wraparound, rates are
-//     per-second with zero-interval and backwards-counter guards;
 //   * resource accounting: the /proc parsers against synthetic text
-//     (including a comm full of spaces and parens), a live sample, and a
-//     deterministic sampler tick feeding gauges + ring + JSONL export;
+//     (including a comm full of spaces and parens) and a live sample;
 //   * openmetrics: name sanitisation and the rendered exposition's
 //     structural invariants (TYPE lines, _total, cumulative buckets,
 //     +Inf == count, # EOF);
@@ -34,7 +31,6 @@
 #include "obs/metrics.h"
 #include "obs/openmetrics.h"
 #include "obs/resource.h"
-#include "obs/snapshot.h"
 #include "obs/trace.h"
 #include "service/json.h"
 
@@ -325,94 +321,6 @@ TEST(ObsHistogram, QuantileEdgeCases) {
                    static_cast<double>(~std::uint64_t{0}));
 }
 
-// --- snapshot ring ---------------------------------------------------------
-
-namespace {
-
-obs::TimedSnapshot timed(std::uint64_t mono_us, std::uint64_t frames) {
-  obs::TimedSnapshot snap;
-  snap.wall_ms = mono_us / 1000;
-  snap.mono_us = mono_us;
-  snap.metrics.counters = {{"frames_in", frames}};
-  return snap;
-}
-
-}  // namespace
-
-TEST(ObsSnapshot, RingWrapsOldestFirst) {
-  obs::SnapshotRing ring(3);
-  EXPECT_EQ(ring.capacity(), 3u);
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_THROW((void)ring.at(0), std::out_of_range);
-
-  for (std::uint64_t i = 1; i <= 5; ++i) ring.push(timed(i * 1'000'000, i));
-  // Pushed 1..5 into capacity 3: 1 and 2 fell off, oldest-first is 3,4,5.
-  EXPECT_EQ(ring.size(), 3u);
-  EXPECT_EQ(ring.at(0).metrics.counters[0].second, 3u);
-  EXPECT_EQ(ring.at(1).metrics.counters[0].second, 4u);
-  EXPECT_EQ(ring.at(2).metrics.counters[0].second, 5u);
-  EXPECT_THROW((void)ring.at(3), std::out_of_range);
-}
-
-TEST(ObsSnapshot, CounterRatesArePerSecond) {
-  const auto rates = obs::counter_rates(timed(1'000'000, 10),
-                                        timed(3'000'000, 50));
-  ASSERT_EQ(rates.size(), 1u);
-  EXPECT_EQ(rates[0].first, "frames_in");
-  EXPECT_DOUBLE_EQ(rates[0].second, 20.0);  // 40 frames over 2 s
-}
-
-TEST(ObsSnapshot, RatesGuardZeroIntervalAndBackwardsCounters) {
-  // Zero (or negative) interval: all rates are 0, never a division blow-up.
-  const auto zero = obs::counter_rates(timed(5'000'000, 10),
-                                       timed(5'000'000, 99));
-  ASSERT_EQ(zero.size(), 1u);
-  EXPECT_DOUBLE_EQ(zero[0].second, 0.0);
-  const auto backwards_time = obs::counter_rates(timed(5'000'000, 10),
-                                                 timed(4'000'000, 99));
-  ASSERT_EQ(backwards_time.size(), 1u);
-  EXPECT_DOUBLE_EQ(backwards_time[0].second, 0.0);
-
-  // A counter that goes backwards (server restarted into the same ring)
-  // clamps its delta to 0 instead of reporting a huge negative rate.
-  const auto shrunk = obs::counter_rates(timed(1'000'000, 100),
-                                         timed(2'000'000, 5));
-  ASSERT_EQ(shrunk.size(), 1u);
-  EXPECT_DOUBLE_EQ(shrunk[0].second, 0.0);
-}
-
-TEST(ObsSnapshot, RatesSkipCountersPresentOnOneSideOnly) {
-  obs::TimedSnapshot from = timed(1'000'000, 10);
-  obs::TimedSnapshot to = timed(2'000'000, 30);
-  to.metrics.counters.push_back({"new_counter", 7});
-  const auto rates = obs::counter_rates(from, to);
-  ASSERT_EQ(rates.size(), 1u);  // new_counter appeared mid-window: skipped
-  EXPECT_EQ(rates[0].first, "frames_in");
-  EXPECT_DOUBLE_EQ(rates[0].second, 20.0);
-}
-
-TEST(ObsSnapshot, LatestRatesNeedTwoEntries) {
-  obs::SnapshotRing ring(4);
-  EXPECT_TRUE(ring.latest_rates().empty());
-  ring.push(timed(1'000'000, 10));
-  EXPECT_TRUE(ring.latest_rates().empty());
-  ring.push(timed(2'000'000, 40));
-  const auto rates = ring.latest_rates();
-  ASSERT_EQ(rates.size(), 1u);
-  EXPECT_DOUBLE_EQ(rates[0].second, 30.0);
-}
-
-TEST(ObsSnapshot, JsonlLineIsSelfContainedAndParses) {
-  obs::TimedSnapshot snap = timed(1'500'000, 42);
-  snap.metrics.gauges = {{"queue_depth", -3}};
-  const std::string line = obs::snapshot_jsonl_line(snap);
-  const service::Json parsed = service::Json::parse(line);
-  EXPECT_EQ(parsed.at("wall_ms").as_u64(), 1500u);
-  EXPECT_EQ(parsed.at("mono_us").as_u64(), 1'500'000u);
-  EXPECT_EQ(parsed.at("counters").at("frames_in").as_u64(), 42u);
-  EXPECT_EQ(parsed.at("gauges").at("queue_depth").as_double(), -3.0);
-}
-
 // --- resource accounting ---------------------------------------------------
 
 TEST(ObsResource, ParseStatusText) {
@@ -448,57 +356,6 @@ TEST(ObsResource, LiveSampleLooksLikeAProcess) {
   EXPECT_GE(usage.vm_hwm_kb, usage.rss_kb);  // high water >= current
   EXPECT_GE(usage.threads, 1u);
   EXPECT_GT(usage.open_fds, 0u);
-}
-
-TEST(ObsResource, SamplerFeedsGaugesRingAndExport) {
-  const std::string path = ::testing::TempDir() + "obs_sampler_export.jsonl";
-  obs::Registry registry;
-  registry.counter("frames_in").add(5);
-  obs::SnapshotRing ring(8);
-  obs::ResourceSampler::Options options;
-  options.interval_ms = 3'600'000;  // effectively manual: sample_now drives
-  options.registry = &registry;
-  options.ring = &ring;
-  options.snapshot_source = [&registry] { return registry.snapshot(); };
-  options.export_path = path;
-  {
-    obs::ResourceSampler sampler(options);
-    // Construction takes the first sample synchronously.
-    EXPECT_GE(ring.size(), 1u);
-    EXPECT_GT(registry.gauge("process.rss_kb").value(), 0);
-    EXPECT_GT(registry.gauge("process.threads").value(), 0);
-    registry.counter("frames_in").add(5);
-    sampler.sample_now();
-    EXPECT_GE(ring.size(), 2u);
-  }  // destructor stops and joins the thread
-  // The ring's newest entry carries the registry snapshot (counters
-  // included), so rates are computable from it.
-  const obs::TimedSnapshot newest = ring.at(ring.size() - 1);
-  bool found = false;
-  for (const auto& [name, value] : newest.metrics.counters) {
-    if (name == "frames_in") {
-      EXPECT_EQ(value, 10u);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-  // Export: one self-contained parseable JSON line per tick.
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::size_t lines = 0;
-  for (std::string line; std::getline(in, line); ++lines) {
-    const service::Json parsed = service::Json::parse(line);
-    EXPECT_GT(parsed.at("mono_us").as_u64(), 0u);
-    (void)parsed.at("counters");
-  }
-  EXPECT_GE(lines, 2u);
-  std::remove(path.c_str());
-}
-
-TEST(ObsResource, SamplerThrowsOnUnopenableExportPath) {
-  obs::ResourceSampler::Options options;
-  options.export_path = "/nonexistent-dir/snap.jsonl";
-  EXPECT_THROW(obs::ResourceSampler sampler(options), std::runtime_error);
 }
 
 // --- openmetrics -----------------------------------------------------------

@@ -27,30 +27,29 @@
 //   cntyield_cli gen-design --lib=FILE --out=FILE [--instances=50000]
 //   cntyield_cli serve   [--port=7421] [--threads=N] [--coalesce-us=2000]
 //                        [--cache-size=4] [--knots=65] [--max-queue=1024]
-//                        [--metrics-port=N] [--sample-ms=N]
-//                        [--snapshot-file=FILE]
+//                        [--metrics-port=N]
 //                        (SIGTERM/SIGINT or a Shutdown frame drain
 //                        gracefully: queued work finishes, new requests
 //                        get `shutting_down`; --metrics-port serves
-//                        OpenMetrics `GET /metrics`, --sample-ms samples
-//                        RSS/CPU into process.* gauges, --snapshot-file
-//                        exports one metrics snapshot per tick as JSONL)
+//                        OpenMetrics `GET /metrics`)
 //   cntyield_cli request [--host=127.0.0.1] [--port=7421] [--ping]
 //                        [--shutdown] [--library=nangate45|commercial65]
 //                        [--instances=0] [--yield=0.90] [--seed=1]
 //                        [--retries=0] [--retry-base-ms=10]
-//                        [--deadline-ms=0] [--table] ...
-//   cntyield_cli stats   [--host=127.0.0.1] [--port=7421] [--table]
-//                        (metrics snapshot of a running server: counters,
-//                        queue gauges, per-stage latency histograms, and
-//                        the process-wide thread-pool/kernel metrics —
-//                        canonical JSON, or tables with --table)
+//                        [--deadline-ms=0] ...
+//                        (--ping prints the constant version Pong)
+//   cntyield_cli stats   [--host=127.0.0.1] [--port=7421]
+//                        (metrics snapshot of a running server as canonical
+//                        JSON: counters, queue gauges, per-stage latency
+//                        histograms, and the process-wide thread-pool,
+//                        kernel and resource metrics)
 //   cntyield_cli top     [--host=127.0.0.1] [--port=7421]
 //                        [--interval-ms=1000] [--count=0]
-//                        (live dashboard: polls Stats frames and renders
-//                        counter rates, latency quantiles, session-cache
-//                        occupancy and RSS between refreshes; --count=N
-//                        bounds the run for scripts/CI)
+//                        (the same snapshot as tables: polls Stats frames
+//                        and renders counter rates, latency quantiles,
+//                        session-cache occupancy and the process metrics;
+//                        --count=N bounds the run, --count=1 is one table
+//                        view for scripts/CI)
 //   cntyield_cli --version
 //
 // Failure semantics (docs/architecture.md): a service failure exits 4
@@ -765,22 +764,13 @@ int cmd_serve(const util::Cli& cli) {
   options.listen = true;
   options.port = static_cast<std::uint16_t>(
       require_long_in(cli, "port", 7421, 1, 65535));
-  // Continuous telemetry (all off by default; docs/architecture.md,
+  // Continuous telemetry (off by default; docs/architecture.md,
   // "Continuous telemetry"): --metrics-port=N serves `GET /metrics`
-  // (OpenMetrics text) on 127.0.0.1:N, --sample-ms=N samples
-  // /proc/self/{status,stat} into process.* gauges every N ms,
-  // --snapshot-file=PATH appends one metrics-snapshot JSONL line per tick.
+  // (OpenMetrics text) on 127.0.0.1:N.
   if (cli.has("metrics-port")) {
     options.metrics_listen = true;
     options.metrics_port = static_cast<std::uint16_t>(
         require_long_in(cli, "metrics-port", 0, 0, 65535));
-  }
-  options.sample_interval_ms = static_cast<unsigned>(
-      require_long_in(cli, "sample-ms", 0, 0, 3'600'000));
-  options.snapshot_export_path = cli.get("snapshot-file", "");
-  if (!options.snapshot_export_path.empty() &&
-      options.sample_interval_ms == 0) {
-    options.sample_interval_ms = 1000;  // a snapshot file implies sampling
   }
   options.log = g_log;
   options.n_threads = resolve_threads(cli);
@@ -829,76 +819,23 @@ int cmd_serve(const util::Cli& cli) {
   return 0;
 }
 
-/// Renders the canonical stats payload (YieldServer::stats_json(), also
-/// the Pong body) as aligned tables: server counters/gauges, per-stage
-/// latency histograms, process-wide thread-pool and kernel metrics.
-void print_stats_table(const std::string& payload) {
-  const service::Json v = service::Json::parse(payload);
-  {
-    util::Table t("Server counters (cntyield " + v.at("version").as_string() +
-                  ", protocol v" + v.at("protocol").dump() + ")");
-    t.header({"counter", "value"});
-    for (const auto& [name, value] : v.at("stats").members()) {
-      t.begin_row().cell(name).cell(value.dump());
-    }
-    for (const auto& [name, value] : v.at("gauges").members()) {
-      t.begin_row().cell(name + " (gauge)").cell(value.dump());
-    }
-    std::cout << t.to_text();
-  }
-  if (!v.at("histograms").members().empty()) {
-    util::Table t("Per-stage latency");
-    t.header({"stage", "count", "mean (us)", "p50 (us)", "p95 (us)",
-              "max (us)"});
-    for (const auto& [name, h] : v.at("histograms").members()) {
-      t.begin_row()
-          .cell(name)
-          .cell(h.at("count").dump())
-          .num(h.at("mean_us").as_double(), 4)
-          .num(h.at("p50_us").as_double(), 4)
-          .num(h.at("p95_us").as_double(), 4)
-          .cell(h.at("max_us").dump());
-    }
-    std::cout << t.to_text();
-  }
-  {
-    util::Table t("Process-wide metrics (thread pool, kernel backends)");
-    t.header({"metric", "value"});
-    const service::Json& process = v.at("process");
-    for (const auto& [name, value] : process.at("counters").members()) {
-      t.begin_row().cell(name).cell(value.dump());
-    }
-    for (const auto& [name, value] : process.at("gauges").members()) {
-      t.begin_row().cell(name + " (gauge)").cell(value.dump());
-    }
-    std::cout << t.to_text();
-  }
-}
-
-/// `stats` — one Stats frame to a running server, rendered as canonical
-/// JSON (scripts) or tables (--table). The payload is identical to what
-/// --ping returns and what the server logs at shutdown: one stats shape
-/// everywhere.
+/// `stats` — one Stats frame to a running server, printed as canonical
+/// JSON: the same payload the server logs at shutdown.
 int cmd_stats(const util::Cli& cli) {
   service::YieldClient client(
       cli.get("host", "127.0.0.1"),
       static_cast<std::uint16_t>(require_long_in(cli, "port", 7421, 1, 65535)));
   client.set_retry_policy(resolve_retry_policy(cli));
   client.set_trace_sink(g_trace_sink.get());
-  const std::string payload = client.stats();
-  if (cli.has("table")) {
-    print_stats_table(payload);
-  } else {
-    std::printf("%s\n", payload.c_str());
-  }
+  std::printf("%s\n", client.stats().c_str());
   return 0;
 }
 
-/// `top` — a live terminal dashboard over a running server: polls Stats
-/// frames every --interval-ms and renders counters with per-second rates
-/// (computed client-side between refreshes), queue/session gauges,
-/// per-stage latency quantiles, and the process resource gauges (RSS,
-/// high-water, CPU, threads). On a TTY each frame redraws in place
+/// `top` — the table view of the stats payload: polls Stats frames every
+/// --interval-ms and renders counters with per-second rates (computed
+/// client-side between refreshes), queue/session gauges, per-stage
+/// latency, and the process-wide counters and gauges (thread pool,
+/// kernels, RSS, CPU, threads). On a TTY each frame redraws in place
 /// (ANSI home+clear); piped output emits sequential frames, so a bounded
 /// run (--count=N) is scriptable in CI.
 int cmd_top(const util::Cli& cli) {
@@ -927,9 +864,11 @@ int cmd_top(const util::Cli& cli) {
         1e6;
     const service::Json v = service::Json::parse(payload);
     if (redraw) std::printf("\033[H\033[2J");
-    std::printf("cntyield top — %s:%ld  (refresh %u ms, frame %ld%s)\n",
+    std::printf("cntyield top — %s:%ld, cntyield %s protocol v%s  (refresh "
+                "%u ms, frame %ld%s)\n",
                 cli.get("host", "127.0.0.1").c_str(),
-                cli.get_long("port", 7421), interval_ms, frame + 1,
+                cli.get_long("port", 7421), v.at("version").as_string().c_str(),
+                v.at("protocol").dump().c_str(), interval_ms, frame + 1,
                 have_prev ? "" : ", rates warm up next frame");
     std::map<std::string, double> counters;
     {
@@ -941,8 +880,8 @@ int cmd_top(const util::Cli& cli) {
         double rate = 0.0;
         if (have_prev && dt_s > 0) {
           const auto it = prev_counters.find(name);
-          // Same guards as obs::counter_rates: a counter that appeared or
-          // went backwards (server restart) rates as 0, never negative.
+          // A counter that appeared or went backwards (server restart)
+          // rates as 0, never negative.
           if (it != prev_counters.end() && val >= it->second) {
             rate = (val - it->second) / dt_s;
           }
@@ -956,11 +895,13 @@ int cmd_top(const util::Cli& cli) {
     }
     if (!v.at("histograms").members().empty()) {
       util::Table t("Latency");
-      t.header({"stage", "count", "p50 (us)", "p95 (us)", "max (us)"});
+      t.header({"stage", "count", "mean (us)", "p50 (us)", "p95 (us)",
+                "max (us)"});
       for (const auto& [name, h] : v.at("histograms").members()) {
         t.begin_row()
             .cell(name)
             .cell(h.at("count").dump())
+            .num(h.at("mean_us").as_double(), 4)
             .num(h.at("p50_us").as_double(), 4)
             .num(h.at("p95_us").as_double(), 4)
             .cell(h.at("max_us").dump());
@@ -970,8 +911,12 @@ int cmd_top(const util::Cli& cli) {
     {
       util::Table t("Process");
       t.header({"metric", "value"});
-      for (const auto& [name, value] : v.at("process").at("gauges").members()) {
+      const service::Json& process = v.at("process");
+      for (const auto& [name, value] : process.at("counters").members()) {
         t.begin_row().cell(name).cell(value.dump());
+      }
+      for (const auto& [name, value] : process.at("gauges").members()) {
+        t.begin_row().cell(name + " (gauge)").cell(value.dump());
       }
       std::cout << t.to_text();
     }
@@ -990,14 +935,7 @@ int cmd_request(const util::Cli& cli) {
   client.set_retry_policy(resolve_retry_policy(cli));
   client.set_trace_sink(g_trace_sink.get());
   if (cli.has("ping")) {
-    // The Pong body is the canonical stats payload — same bytes as the
-    // `stats` subcommand, with the same optional pretty-printer.
-    const std::string payload = client.ping();
-    if (cli.has("table")) {
-      print_stats_table(payload);
-    } else {
-      std::printf("pong: %s\n", payload.c_str());
-    }
+    std::printf("pong: %s\n", client.ping().c_str());
     return 0;
   }
   if (cli.has("shutdown")) {
@@ -1052,12 +990,10 @@ int usage() {
       "  any command: --trace=FILE writes a Perfetto-loadable span JSONL\n"
       "  any command: --log-file=FILE [--log-level=debug|info|warn|error] "
       "writes a structured JSONL event log\n"
-      "  stats: metrics snapshot of a running server (--table for tables)\n"
-      "  top: live dashboard over a running server (--interval-ms=1000, "
+      "  stats: metrics snapshot of a running server as canonical JSON\n"
+      "  top: the same snapshot as live tables (--interval-ms=1000, "
       "--count=N for a bounded run)\n"
-      "  serve: --metrics-port=N serves GET /metrics (OpenMetrics), "
-      "--sample-ms=N samples RSS/CPU, --snapshot-file=FILE exports the "
-      "time series\n"
+      "  serve: --metrics-port=N serves GET /metrics (OpenMetrics)\n"
       "  flow/batch/serve: --threads=N (0 = hardware concurrency)\n"
       "  flow/batch/request: --scenario=shorts,length,removal (+ mechanism "
       "flags)\n"
@@ -1111,7 +1047,7 @@ const std::map<std::string, std::vector<std::string>> kCommandFlags = {
     {"gen-design", {"lib", "out", "instances"}},
     {"serve",
      {"port", "threads", "coalesce-us", "cache-size", "knots", "max-queue",
-      "metrics-port", "sample-ms", "snapshot-file"}},
+      "metrics-port"}},
     {"top",
      {"host", "port", "interval-ms", "count", "retries", "retry-base-ms",
       "seed"}},
@@ -1120,8 +1056,8 @@ const std::map<std::string, std::vector<std::string>> kCommandFlags = {
       "chip-m", "mc-samples", "seed", "streams", "pm", "prs", "cv",
       "pitch-mean", "scenario", "prm", "noise-fails", "length-mean-um",
       "length-cv", "length-devices", "selectivity", "prm-target", "retries",
-      "retry-base-ms", "deadline-ms", "table"}},
-    {"stats", {"host", "port", "table", "retries", "retry-base-ms", "seed"}},
+      "retry-base-ms", "deadline-ms"}},
+    {"stats", {"host", "port", "retries", "retry-base-ms", "seed"}},
 };
 
 /// 0 when `cmd` exists and every flag is known; the exit code otherwise.
