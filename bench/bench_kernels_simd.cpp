@@ -4,10 +4,10 @@
 // Benchmark sees argv:
 //
 //   --mode=looped    the historical evaluation shape: one scalar
-//                    pf_truncated call per width, SIMD dispatch forced off
-//   --mode=batched   (default) the PR's shape: widths evaluated through
-//                    pf_truncated_batch / the batched interpolant build,
-//                    SIMD dispatch on auto
+//                    cnt::pf_truncated call per width
+//   --mode=batched   (default) widths evaluated through pf_truncated_batch
+//                    / the batched interpolant build, on whichever backend
+//                    the platform dispatches to
 //
 // Recording the same binary in both modes and diffing the JSONs with
 // tools/bench_compare.py measures exactly the batched+SIMD win while
@@ -27,11 +27,8 @@
 #include "cnt/pitch_model.h"
 #include "cnt/process.h"
 #include "device/failure_model.h"
-#include "geom/interval.h"
 #include "kernels/dispatch.h"
-#include "kernels/mc_kernels.h"
 #include "kernels/pf_batch.h"
-#include "rng/engine.h"
 
 namespace {
 
@@ -122,59 +119,18 @@ void BM_PfPacketWide(benchmark::State& state) {
 }
 BENCHMARK(BM_PfPacketWide)->Unit(benchmark::kMillisecond);
 
-// --- MC post-draw kernels ---------------------------------------------------
-// Thinning and the sorted-window check run once per simulated device; the
-// mode toggles the dispatch seam (scalar reference vs AVX2), the call
-// shape is the same either way.
-
-void BM_ThinFunctional(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  rng::Xoshiro256 rng(11);
-  std::vector<double> ys(n), us(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ys[i] = static_cast<double>(i) * 4.0;
-    us[i] = rng.uniform();
-  }
-  std::vector<double> out;
-  for (auto _ : state) {
-    kernels::thin_functional(ys, us, 0.33, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_ThinFunctional)->Arg(256)->Arg(4096);
-
-void BM_WindowSweep(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<double> points(n);
-  for (std::size_t i = 0; i < n; ++i) points[i] = static_cast<double>(i);
-  std::vector<geom::Interval> windows;
-  for (std::size_t k = 0; k < 64; ++k) {
-    const double lo = static_cast<double>(k * (n / 64));
-    windows.push_back({lo + 0.25, lo + 0.75});  // between points: occupied
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        kernels::any_window_empty_sorted(points, windows));
-  }
-}
-BENCHMARK(BM_WindowSweep)->Arg(4096);
-
 }  // namespace
 
 // Custom main: strip --mode= (ours) before benchmark::Initialize rejects
-// it, set the dispatch seam accordingly, then run as usual.
+// it, then run as usual.
 int main(int argc, char** argv) {
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--mode=", 0) == 0) {
       const std::string mode = arg.substr(7);
-      if (mode == "looped") {
-        g_batched = false;
-        cny::kernels::set_simd_mode(cny::kernels::SimdMode::Off);
-      } else if (mode == "batched") {
-        g_batched = true;
-        cny::kernels::set_simd_mode(cny::kernels::SimdMode::Auto);
+      if (mode == "looped" || mode == "batched") {
+        g_batched = mode == "batched";
       } else {
         std::fprintf(stderr, "--mode must be 'looped' or 'batched'\n");
         return 2;

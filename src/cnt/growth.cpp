@@ -3,7 +3,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "kernels/mc_kernels.h"
 #include "rng/distributions.h"
 #include "util/contracts.h"
 
@@ -60,25 +59,12 @@ void DirectionalGrowth::functional_positions(cny::rng::Xoshiro256& rng,
                                              std::vector<double>& out) const {
   CNY_EXPECT(y_hi > y_lo);
   const double pf = process_.p_fail();
-  // Two phases with identical RNG consumption to the historical fused
-  // loop. Phase 1 is inherently serial — gamma pitch sampling is
-  // rejection-based, so the stream's draw order (pinned by the
-  // (seed, n_streams) determinism contract) admits no reordering. It
-  // records each tube's position and its Bernoulli uniform (the draw
-  // sample_bernoulli would have made, in the same slot: one uniform per
-  // tube, before the next pitch draw). Phase 2 — the survivor selection —
-  // is pure compare + copy and runs through the vectorized kernel seam.
-  thread_local std::vector<double> ys;
-  thread_local std::vector<double> us;
-  ys.clear();
-  us.clear();
+  out.clear();
   double y = y_lo + pitch_.sample_equilibrium(rng);
   while (y < y_hi) {
-    ys.push_back(y);
-    us.push_back(rng.uniform());
+    if (!cny::rng::sample_bernoulli(rng, pf)) out.push_back(y);
     y += pitch_.sample(rng);
   }
-  cny::kernels::thin_functional(ys, us, pf, out);
 }
 
 UncorrelatedGrowth::UncorrelatedGrowth(double tubes_per_um2,

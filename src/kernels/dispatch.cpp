@@ -1,12 +1,8 @@
 #include "kernels/dispatch.h"
 
-#include <atomic>
-
 namespace cny::kernels {
 
 namespace {
-
-std::atomic<SimdMode> g_mode{SimdMode::Auto};
 
 bool detect_avx2() {
 #if defined(CNY_SIMD) && defined(__GNUC__) && \
@@ -18,12 +14,6 @@ bool detect_avx2() {
 }
 
 }  // namespace
-
-void set_simd_mode(SimdMode mode) {
-  g_mode.store(mode, std::memory_order_relaxed);
-}
-
-SimdMode simd_mode() { return g_mode.load(std::memory_order_relaxed); }
 
 bool simd_compiled() {
 #if defined(CNY_SIMD)
@@ -39,10 +29,6 @@ bool simd_supported() {
   return supported;
 }
 
-bool simd_active() {
-  return simd_supported() && simd_mode() == SimdMode::Auto;
-}
-
-const char* backend_name() { return simd_active() ? "avx2" : "scalar"; }
+const char* backend_name() { return simd_supported() ? "avx2" : "scalar"; }
 
 }  // namespace cny::kernels

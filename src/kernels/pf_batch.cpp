@@ -64,7 +64,7 @@ std::vector<cnt::PfKernelResult> pf_truncated_batch(
   }
 
 #if defined(CNY_SIMD)
-  if (simd_active()) {
+  if (simd_supported()) {
     // Lane-pack runs of up to four prefactored widths; adjacent widths in a
     // batch (interpolant knots, merged spectra) are usually close, which
     // keeps the lanes' iteration counts coherent. Wide-window widths on the

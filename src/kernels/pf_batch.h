@@ -15,7 +15,7 @@
 //     == pf_truncated(pitch, widths[i], z, tol)      (all three fields,
 //                                                     exact bits)
 //
-// so batching — like the SIMD mode and the thread count — is purely a
+// so batching — like the backend and the thread count — is purely a
 // speed knob. Lanes run each width's exact scalar op sequence (elementwise
 // IEEE add/mul/div only; transcendentals stay scalar libm), and the kernel
 // translation units are built with contraction disabled so no FMA can

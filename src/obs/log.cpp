@@ -24,8 +24,6 @@ bool log_level_from_name(std::string_view name, LogLevel& out) {
   return true;
 }
 
-#if !defined(CNY_NO_OBS)
-
 namespace {
 
 void append_escaped(std::string& out, std::string_view text) {
@@ -103,7 +101,5 @@ LogEvent& LogEvent::num(std::string_view key, std::int64_t value) {
   }
   return *this;
 }
-
-#endif  // !CNY_NO_OBS
 
 }  // namespace cny::obs

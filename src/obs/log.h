@@ -22,8 +22,7 @@
 // Like tracing, logging is observability plumbing, never semantics:
 // nothing may branch on whether a log is attached, so an attached log
 // cannot move a response or store byte (pinned in the zero-perturbation
-// tests). Compile-out: -DCNY_OBS=OFF replaces Log/LogEvent with no-op
-// stubs of identical shape; `--log-file` on such a build exits 2.
+// tests).
 #pragma once
 
 #include <cstdint>
@@ -36,15 +35,6 @@
 
 namespace cny::obs {
 
-/// True when this build carries the logging implementation (CNY_OBS=ON).
-[[nodiscard]] constexpr bool logging_compiled() {
-#if defined(CNY_NO_OBS)
-  return false;
-#else
-  return true;
-#endif
-}
-
 enum class LogLevel : int { Debug = 0, Info = 1, Warn = 2, Error = 3 };
 
 /// "debug" / "info" / "warn" / "error" (what the JSONL line carries).
@@ -53,8 +43,6 @@ enum class LogLevel : int { Debug = 0, Info = 1, Warn = 2, Error = 3 };
 /// Parses a level name (as above). Returns false on unknown names, leaving
 /// `out` untouched — the CLI's flag validation path.
 [[nodiscard]] bool log_level_from_name(std::string_view name, LogLevel& out);
-
-#if !defined(CNY_NO_OBS)
 
 /// One JSONL log file plus its minimum level. Thread-safe: events from
 /// concurrent workers serialise on a mutex around one fprintf+fflush.
@@ -108,25 +96,5 @@ class LogEvent {
   std::string_view event_;
   std::vector<std::pair<std::string, std::string>> fields_;
 };
-
-#else  // CNY_NO_OBS: same shape, no behaviour.
-
-class Log {
- public:
-  explicit Log(const std::string&, LogLevel = LogLevel::Info) {}
-  [[nodiscard]] LogLevel min_level() const { return LogLevel::Info; }
-  [[nodiscard]] bool enabled(LogLevel) const { return false; }
-  void write(LogLevel, std::string_view,
-             const std::vector<std::pair<std::string, std::string>>&) {}
-};
-
-class LogEvent {
- public:
-  LogEvent(Log*, LogLevel, std::string_view) {}
-  LogEvent& str(std::string_view, std::string_view) { return *this; }
-  LogEvent& num(std::string_view, std::int64_t) { return *this; }
-};
-
-#endif
 
 }  // namespace cny::obs

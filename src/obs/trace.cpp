@@ -30,8 +30,6 @@ std::string next_trace_id() {
   return out;
 }
 
-#if !defined(CNY_NO_OBS)
-
 namespace {
 
 /// Small per-thread trace tid (chrome trace "tid"): dense small ints make
@@ -137,7 +135,5 @@ void TraceSink::flush() {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::fflush(file_);
 }
-
-#endif  // !CNY_NO_OBS
 
 }  // namespace cny::obs

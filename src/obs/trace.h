@@ -15,12 +15,6 @@
 // contract behind "tracing off costs nothing measurable". Timestamps are
 // nanoseconds since the *sink's* origin (its construction instant), so all
 // spans of one trace share a zero point regardless of thread.
-//
-// Compile-out: configuring with -DCNY_OBS=OFF defines CNY_NO_OBS and
-// replaces Span/TraceSink with no-op stubs of identical shape — call sites
-// build unchanged, the object code carries no tracing, and the
-// zero-perturbation tests still pass (the spans were never allowed to
-// influence results in the first place).
 #pragma once
 
 #include <chrono>
@@ -34,21 +28,12 @@
 
 namespace cny::obs {
 
-/// True when this build carries the tracing implementation (CNY_OBS=ON).
-[[nodiscard]] constexpr bool tracing_compiled() {
-#if defined(CNY_NO_OBS)
-  return false;
-#else
-  return true;
-#endif
-}
+/// Every build carries tracing; kept for the benchmark's build stamp.
+[[nodiscard]] constexpr bool tracing_compiled() { return true; }
 
 /// A fresh process-unique trace id: 16 lowercase hex chars, scrambled so
-/// ids from concurrent clients don't collide on prefixes. Stable API in
-/// both build modes (callers gate on a sink, not on the build).
+/// ids from concurrent clients don't collide on prefixes.
 [[nodiscard]] std::string next_trace_id();
-
-#if !defined(CNY_NO_OBS)
 
 class TraceSink {
  public:
@@ -126,32 +111,5 @@ class Span {
   std::uint64_t start_ns_ = 0;
   std::vector<std::pair<std::string, std::string>> args_;
 };
-
-#else  // CNY_NO_OBS: same shape, no behaviour, no storage beyond the API.
-
-class TraceSink {
- public:
-  explicit TraceSink(const std::string&) {}
-  [[nodiscard]] std::uint64_t now_ns() const { return 0; }
-  [[nodiscard]] std::uint64_t since_origin_ns(
-      std::chrono::steady_clock::time_point) const {
-    return 0;
-  }
-  void complete(std::string_view, std::string_view, std::uint64_t,
-                std::uint64_t,
-                const std::vector<std::pair<std::string, std::string>>& =
-                    {}) {}
-  void flush() {}
-};
-
-class Span {
- public:
-  Span() = default;
-  Span(TraceSink*, std::string_view, std::string_view = "app") {}
-  void arg(std::string_view, std::string_view) {}
-  void finish() {}
-};
-
-#endif
 
 }  // namespace cny::obs

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "exec/parallel_mc.h"
-#include "kernels/mc_kernels.h"
 #include "util/contracts.h"
 
 namespace cny::yield {
@@ -18,6 +17,20 @@ struct ChipTally {
 };
 
 }  // namespace
+
+bool any_window_empty_sorted(std::span<const double> points,
+                             std::span<const geom::Interval> windows) {
+  // With windows sorted by lo, the first point >= w.lo advances
+  // monotonically, so the per-window lower_bound collapses into a shared
+  // cursor.
+  const std::size_t n = points.size();
+  std::size_t idx = 0;
+  for (const auto& w : windows) {
+    while (idx < n && points[idx] < w.lo) ++idx;
+    if (idx == n || !(points[idx] < w.hi)) return true;
+  }
+  return false;
+}
 
 ChipMcResult simulate_chip_yield(const cnt::DirectionalGrowth& growth,
                                  const ChipSpec& spec, GrowthStyle style,
@@ -37,8 +50,8 @@ ChipMcResult simulate_chip_yield(const cnt::DirectionalGrowth& growth,
   }
 
   // "Any window empty" is invariant under window order, so sort a copy by
-  // lo once and let every row share a single two-pointer sweep (the
-  // kernels seam) instead of a binary search per window.
+  // lo once and let every row share a single two-pointer sweep instead of
+  // a binary search per window.
   std::vector<geom::Interval> sorted_windows = spec.row_windows;
   std::sort(sorted_windows.begin(), sorted_windows.end(),
             [](const geom::Interval& a, const geom::Interval& b) {
@@ -58,12 +71,12 @@ ChipMcResult simulate_chip_yield(const cnt::DirectionalGrowth& growth,
         bool row_failed = false;
         if (style == GrowthStyle::Directional) {
           growth.functional_positions(shard_rng, lo, hi, points);
-          row_failed = kernels::any_window_empty_sorted(points, sorted_windows);
+          row_failed = any_window_empty_sorted(points, sorted_windows);
         } else {
           // Uncorrelated growth: every device sees a fresh CNT population.
           for (const auto& w : spec.row_windows) {
             growth.functional_positions(shard_rng, w.lo, w.hi, points);
-            if (kernels::any_window_empty_sorted(points, {&w, 1})) {
+            if (any_window_empty_sorted(points, {&w, 1})) {
               row_failed = true;
               break;
             }

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cnt/growth.h"
@@ -40,6 +41,13 @@ struct ChipMcResult {
   std::uint64_t chips = 0;
   std::uint64_t rows_simulated = 0;
 };
+
+/// Does any window [lo, hi) contain no point? `points` must be sorted
+/// ascending and `windows` sorted by lo ascending (overlap is fine): one
+/// two-pointer sweep instead of a binary search per window. Same answer as
+/// the classic per-window lower_bound check in any window order.
+[[nodiscard]] bool any_window_empty_sorted(
+    std::span<const double> points, std::span<const geom::Interval> windows);
 
 /// Simulates `n_chips` chips and reports yield and per-row failure rates.
 /// `policy` shards the chip loop across RNG streams/threads (see

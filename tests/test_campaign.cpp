@@ -744,9 +744,7 @@ TEST(CampaignRunner, TracedChaosStoreIsByteIdenticalToUntracedFaultFree) {
   ResultStore traced;
   options.trace_sink = std::make_shared<obs::TraceSink>(trace_path);
   options.progress_path = progress_path;
-  if (obs::logging_compiled()) {
-    options.log = std::make_shared<obs::Log>(log_path, obs::LogLevel::Debug);
-  }
+  options.log = std::make_shared<obs::Log>(log_path, obs::LogLevel::Debug);
   service::FaultPlanOptions faults;
   faults.seed = 11;
   faults.period = 2;
@@ -764,27 +762,23 @@ TEST(CampaignRunner, TracedChaosStoreIsByteIdenticalToUntracedFaultFree) {
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(plain.records()[i].line(), traced.records()[i].line()) << i;
   }
-  if (obs::tracing_compiled()) {
-    std::ifstream trace(trace_path);
-    std::stringstream buffer;
-    buffer << trace.rdbuf();
-    EXPECT_NE(buffer.str().find("\"campaign.chunk\""), std::string::npos);
-  }
-  if (obs::logging_compiled()) {
-    // The log must actually have logged lifecycle + retry events (the
-    // chaos forces retry_rounds > 0) — no vacuous pass.
-    std::ifstream log(log_path);
-    std::stringstream buffer;
-    buffer << log.rdbuf();
-    EXPECT_NE(buffer.str().find("\"event\":\"campaign.start\""),
-              std::string::npos);
-    EXPECT_NE(buffer.str().find("\"event\":\"campaign.checkpoint\""),
-              std::string::npos);
-    EXPECT_NE(buffer.str().find("\"event\":\"campaign.retry_round\""),
-              std::string::npos);
-    EXPECT_NE(buffer.str().find("\"event\":\"campaign.finish\""),
-              std::string::npos);
-  }
+  std::ifstream trace(trace_path);
+  std::stringstream trace_text;
+  trace_text << trace.rdbuf();
+  EXPECT_NE(trace_text.str().find("\"campaign.chunk\""), std::string::npos);
+  // The log must actually have logged lifecycle + retry events (the
+  // chaos forces retry_rounds > 0) — no vacuous pass.
+  std::ifstream log(log_path);
+  std::stringstream log_text;
+  log_text << log.rdbuf();
+  EXPECT_NE(log_text.str().find("\"event\":\"campaign.start\""),
+            std::string::npos);
+  EXPECT_NE(log_text.str().find("\"event\":\"campaign.checkpoint\""),
+            std::string::npos);
+  EXPECT_NE(log_text.str().find("\"event\":\"campaign.retry_round\""),
+            std::string::npos);
+  EXPECT_NE(log_text.str().find("\"event\":\"campaign.finish\""),
+            std::string::npos);
   std::remove(trace_path.c_str());
   std::remove(progress_path.c_str());
   std::remove(log_path.c_str());

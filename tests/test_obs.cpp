@@ -184,7 +184,6 @@ TEST(ObsTrace, TraceIdsAreUniqueAndWellFormed) {
 }
 
 TEST(ObsTrace, SinkWritesTolerantParseableTraceEventJsonl) {
-  if (!obs::tracing_compiled()) GTEST_SKIP() << "built with CNY_OBS=OFF";
   const std::string path = ::testing::TempDir() + "obs_trace_test.jsonl";
   {
     obs::TraceSink sink(path);
@@ -243,7 +242,6 @@ TEST(ObsTrace, SinkWritesTolerantParseableTraceEventJsonl) {
 // The whole file parses in one shot too (the closed form is a valid JSON
 // array) — what a trace viewer's strict loader would do.
 TEST(ObsTrace, CleanlyClosedTraceIsOneValidJsonArray) {
-  if (!obs::tracing_compiled()) GTEST_SKIP() << "built with CNY_OBS=OFF";
   const std::string path = ::testing::TempDir() + "obs_trace_array.jsonl";
   {
     obs::TraceSink sink(path);
@@ -265,7 +263,6 @@ TEST(ObsTrace, CleanlyClosedTraceIsOneValidJsonArray) {
 }
 
 TEST(ObsTrace, SinkThrowsOnUnopenablePath) {
-  if (!obs::tracing_compiled()) GTEST_SKIP() << "built with CNY_OBS=OFF";
   EXPECT_THROW(obs::TraceSink("/nonexistent-dir/trace.jsonl"),
                std::runtime_error);
 }
@@ -440,7 +437,6 @@ TEST(ObsLog, NullLogEventIsInert) {
 }
 
 TEST(ObsLog, WritesParseableLeveledJsonl) {
-  if (!obs::logging_compiled()) GTEST_SKIP() << "built with CNY_OBS=OFF";
   const std::string path = ::testing::TempDir() + "obs_log_test.jsonl";
   {
     obs::Log log(path, obs::LogLevel::Info);
@@ -471,7 +467,6 @@ TEST(ObsLog, WritesParseableLeveledJsonl) {
 }
 
 TEST(ObsLog, ThrowsOnUnopenablePath) {
-  if (!obs::logging_compiled()) GTEST_SKIP() << "built with CNY_OBS=OFF";
   EXPECT_THROW(obs::Log("/nonexistent-dir/events.jsonl"),
                std::runtime_error);
 }

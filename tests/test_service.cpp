@@ -1027,9 +1027,9 @@ TEST(ServiceProtocol, TraceIdOmittedWhenEmptyKeepsPayloadByteIdentical) {
 
 // The zero-perturbation acceptance test for the serving path: the same
 // request produces the same response bytes whether the server traces to a
-// sink, serves untraced, or (CNY_OBS=OFF) has tracing compiled out — and a
-// request that *carries* a trace id still gets the identical response
-// body, because responses hold no trace fields.
+// sink or serves untraced — and a request that *carries* a trace id still
+// gets the identical response body, because responses hold no trace
+// fields.
 TEST(ServiceServer, ResponsesAreByteIdenticalWithTracingOnOrOff) {
   const std::string frame =
       service::encode_flow_request(small_request(1, 0.9));
@@ -1056,15 +1056,13 @@ TEST(ServiceServer, ResponsesAreByteIdenticalWithTracingOnOrOff) {
         untraced);
     server.stop();
   }
-  if (obs::tracing_compiled()) {
-    // The sink must actually have traced — otherwise this test would pass
-    // vacuously with the instrumentation fallen off.
-    std::ifstream trace(path);
-    std::stringstream buffer;
-    buffer << trace.rdbuf();
-    EXPECT_NE(buffer.str().find("\"evaluate\""), std::string::npos);
-    EXPECT_NE(buffer.str().find("\"trace_id\""), std::string::npos);
-  }
+  // The sink must actually have traced — otherwise this test would pass
+  // vacuously with the instrumentation fallen off.
+  std::ifstream trace(path);
+  std::stringstream buffer;
+  buffer << trace.rdbuf();
+  EXPECT_NE(buffer.str().find("\"evaluate\""), std::string::npos);
+  EXPECT_NE(buffer.str().find("\"trace_id\""), std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -1298,8 +1296,7 @@ TEST(ServiceServer, MetricsTextCoversEveryStatsPayloadMetric) {
 // The zero-perturbation acceptance test for *continuous* telemetry: the
 // same request produces the same response bytes with the full stack on —
 // structured log, metrics endpoint and a mid-request scrape — as with
-// everything off (and, cross-build, as CNY_OBS=OFF; CI compares the store
-// bytes there).
+// everything off.
 TEST(ServiceServer, ResponsesAreByteIdenticalWithTelemetryFullyOn) {
   const std::string frame =
       service::encode_flow_request(small_request(1, 0.9));
@@ -1314,9 +1311,7 @@ TEST(ServiceServer, ResponsesAreByteIdenticalWithTelemetryFullyOn) {
   const std::string log_path = ::testing::TempDir() + "telemetry_on.jsonl";
   {
     auto options = loopback_options();
-    if (obs::logging_compiled()) {
-      options.log = std::make_shared<obs::Log>(log_path, obs::LogLevel::Debug);
-    }
+    options.log = std::make_shared<obs::Log>(log_path, obs::LogLevel::Debug);
     options.metrics_listen = true;
     options.metrics_port = 0;
     service::YieldServer server(options);
@@ -1328,17 +1323,15 @@ TEST(ServiceServer, ResponsesAreByteIdenticalWithTelemetryFullyOn) {
     EXPECT_EQ(server.submit(frame).get(), plain);
     server.stop();
   }
-  if (obs::logging_compiled()) {
-    // The log must actually have logged — otherwise this passes vacuously
-    // with the instrumentation fallen off.
-    std::ifstream log(log_path);
-    std::stringstream buffer;
-    buffer << log.rdbuf();
-    EXPECT_NE(buffer.str().find("\"event\":\"server.start\""),
-              std::string::npos);
-    EXPECT_NE(buffer.str().find("\"event\":\"session.built\""),
-              std::string::npos);
-  }
+  // The log must actually have logged — otherwise this passes vacuously
+  // with the instrumentation fallen off.
+  std::ifstream log(log_path);
+  std::stringstream buffer;
+  buffer << log.rdbuf();
+  EXPECT_NE(buffer.str().find("\"event\":\"server.start\""),
+            std::string::npos);
+  EXPECT_NE(buffer.str().find("\"event\":\"session.built\""),
+            std::string::npos);
   std::remove(log_path.c_str());
 }
 

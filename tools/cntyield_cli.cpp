@@ -67,24 +67,17 @@
 // default); thread count only changes wall-clock, never the numbers (those
 // depend on --seed and --streams only). The table/scaling subcommands keep
 // their serial legacy MC loops unchanged.
-// --simd=auto|off (any subcommand) selects the kernel backend: `auto` (the
-// default) uses the AVX2 backend when the build and CPU support it, `off`
-// forces the scalar reference. Like --threads, it only changes wall-clock:
-// every backend is bit-identical to the scalar kernels
-// (docs/architecture.md, "Kernel backends").
 // --trace=FILE (any subcommand) writes a Chrome-trace-event JSONL of
 // observability spans — server stages, session warms, client retry
 // attempts, campaign chunks — loadable in Perfetto / chrome://tracing and
 // summarised by tools/trace_summary.py. Observational only: every output
 // and store byte is identical with or without it (docs/architecture.md,
-// "Observability"). Exits 2 when the build compiled tracing out
-// (-DCNY_OBS=OFF).
+// "Observability").
 // --log-file=FILE [--log-level=debug|info|warn|error] (any subcommand)
 // writes a structured JSONL event log — server lifecycle, session
 // builds/evictions, overload rejects, deadline sheds, campaign
 // checkpoints — one self-contained JSON object per line. Same
-// zero-perturbation contract and -DCNY_OBS=OFF exit-2 behaviour as
-// --trace.
+// zero-perturbation contract as --trace.
 // campaign --progress renders a live progress line on stderr;
 // --progress-file=PATH additionally appends one JSON line per checkpoint
 // (done/pending, retry rounds, sessions built, ETA) for dashboards.
@@ -119,7 +112,6 @@
 #include "celllib/liberty_lite.h"
 #include "cnt/removal_tradeoff.h"
 #include "exec/thread_pool.h"
-#include "kernels/dispatch.h"
 #include "experiments/fig2_1.h"
 #include "experiments/fig2_2.h"
 #include "experiments/table1.h"
@@ -343,8 +335,9 @@ int cmd_batch(const util::Cli& cli) {
   return 0;
 }
 
-/// The base FlowRequest the sweep subcommands start from: library, design
-/// size, process corner and FlowParams resolved from the familiar flags.
+/// The FlowRequest `request` sends and the sweep subcommands start from:
+/// library, design size, process corner and FlowParams resolved from the
+/// familiar flags.
 service::FlowRequest resolve_flow_request(const util::Cli& cli) {
   service::FlowRequest request;
   request.library = cli.get("library", request.library);
@@ -721,7 +714,8 @@ int cmd_align(const util::Cli& cli) {
   const auto lib = resolve_library(cli);
   layout::AlignOptions options;
   options.w_min = cli.get_double("wmin", 103.0);
-  options.rows_per_polarity = static_cast<int>(cli.get_long("rows", 1));
+  options.rows_per_polarity =
+      static_cast<int>(require_long_in(cli, "rows", 1, 1, 2));
   const double spacing =
       cli.get_double("spacing", lib.node_nm() >= 60.0 ? 200.0 : 140.0);
   const auto res = layout::align_active(lib, options, spacing);
@@ -750,7 +744,9 @@ int cmd_gen_design(const util::Cli& cli) {
   const auto lib = resolve_library(cli);
   const auto design = netlist::generate_design(
       "generated", lib,
-      static_cast<std::uint64_t>(cli.get_long("instances", 50000)), {});
+      static_cast<std::uint64_t>(
+          require_long_in(cli, "instances", 50000, 1, 2'000'000'000)),
+      {});
   const std::string out = cli.get("out", "design.txt");
   netlist::save_design(design, out);
   std::printf("wrote %s (%llu instances, %llu transistors)\n", out.c_str(),
@@ -943,18 +939,7 @@ int cmd_request(const util::Cli& cli) {
     std::puts("server acknowledged shutdown");
     return 0;
   }
-  service::FlowRequest request;
-  request.library = cli.get("library", request.library);
-  request.design_instances =
-      static_cast<std::uint64_t>(cli.get_long("instances", 0));
-  request.process.pitch_mean_nm =
-      cli.get_double("pitch-mean", request.process.pitch_mean_nm);
-  request.process.pitch_cv = cli.get_double("cv", request.process.pitch_cv);
-  request.process.p_metallic =
-      cli.get_double("pm", request.process.p_metallic);
-  request.process.p_remove_s =
-      cli.get_double("prs", request.process.p_remove_s);
-  request.params = resolve_flow_params(cli);
+  service::FlowRequest request = resolve_flow_request(cli);
   request.deadline_ms = static_cast<std::uint64_t>(
       require_long_in(cli, "deadline-ms", 0, 0, 86'400'000));
   // Client-side preflight with the same validator the server runs: a bad
@@ -1069,8 +1054,7 @@ int reject_unknown_flags(const util::Cli& cli, const std::string& cmd) {
   }
   for (const auto& name : cli.flag_names()) {
     // Global flags, valid for every command.
-    if (name == "simd" || name == "trace" || name == "log-file" ||
-        name == "log-level") {
+    if (name == "trace" || name == "log-file" || name == "log-level") {
       continue;
     }
     if (std::find(it->second.begin(), it->second.end(), name) ==
@@ -1093,26 +1077,10 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = cli.positional().front();
   if (const int rc = reject_unknown_flags(cli, cmd); rc != 0) return rc;
-  // Global kernel-backend switch (docs/architecture.md, "Kernel backends").
-  // Purely a speed knob: every backend is bit-identical to the scalar
-  // reference, so any command's output is invariant under this flag.
-  if (const std::string simd = cli.get("simd", "auto"); simd == "off") {
-    cny::kernels::set_simd_mode(cny::kernels::SimdMode::Off);
-  } else if (simd != "auto") {
-    std::fprintf(stderr, "error: --simd must be 'auto' or 'off' (got '%s')\n",
-                 simd.c_str());
-    return 2;
-  }
   // Global tracing switch: --trace=FILE opens the span sink every command
   // hands to its server/client/runner. Observational only — outputs and
   // stores are byte-identical with or without it.
   if (cli.has("trace")) {
-    if (!cny::obs::tracing_compiled()) {
-      std::fprintf(stderr,
-                   "error: --trace requires a build with tracing compiled "
-                   "in (this one was configured with -DCNY_OBS=OFF)\n");
-      return 2;
-    }
     try {
       g_trace_sink =
           std::make_shared<cny::obs::TraceSink>(cli.get("trace", ""));
@@ -1125,13 +1093,6 @@ int main(int argc, char** argv) {
   // the JSONL event log every command hands to its server/runner/cache;
   // --log-level filters below the given severity. Observational only.
   if (cli.has("log-file")) {
-    if (!cny::obs::logging_compiled()) {
-      std::fprintf(stderr,
-                   "error: --log-file requires a build with observability "
-                   "compiled in (this one was configured with "
-                   "-DCNY_OBS=OFF)\n");
-      return 2;
-    }
     cny::obs::LogLevel level = cny::obs::LogLevel::Info;
     if (!cny::obs::log_level_from_name(cli.get("log-level", "info"), level)) {
       std::fprintf(stderr,
