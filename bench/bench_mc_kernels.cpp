@@ -54,6 +54,25 @@ BENCHMARK(BM_PfTruncated)
     ->Arg(800)
     ->Unit(benchmark::kMillisecond);
 
+// One query with its node loop sharded across `threads` (range(1)) —
+// the cold exact flow's single-width p_F. Wall time, since the work runs
+// on pool threads.
+void BM_PfTruncatedThreads(benchmark::State& state) {
+  const cnt::PitchModel pitch(4.0, 0.9);
+  const double z = cnt::fig21_worst().p_fail();
+  const double w = static_cast<double>(state.range(0));
+  const auto threads = static_cast<unsigned>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        cnt::pf_truncated(pitch, w, z, 1e-14, threads).value);
+  }
+}
+BENCHMARK(BM_PfTruncatedThreads)
+    ->ArgNames({"w", "threads"})
+    ->ArgsProduct({{155, 400}, {1, 4}})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 // The Poisson-shape special case (integer Gamma shape k = 1), where the
 // truncated kernel steps Q(nk, x) with an exact recurrence: each extra PMF
 // term costs one multiply per node instead of one incomplete gamma.

@@ -1,5 +1,6 @@
 #include "campaign/sweep.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <stdexcept>
@@ -157,12 +158,50 @@ struct Expr::Node {
   double value = 0.0;                   ///< Number
   std::string name;                     ///< Ref / Call
   std::vector<std::shared_ptr<const Node>> args;
+  ~Node();
 };
 
 namespace {
 
 using Node = Expr::Node;
 using NodePtr = std::shared_ptr<const Node>;
+
+bool is_binary(Node::Kind kind) {
+  return kind == Node::Kind::Add || kind == Node::Kind::Sub ||
+         kind == Node::Kind::Mul || kind == Node::Kind::Div;
+}
+
+/// A flat chain a+b-c… parses to a left-leaning tree as deep as the chain
+/// is long, so every walk follows its left spine in a loop: this pushes
+/// the spine's operators (root first) onto `spine` and returns the
+/// leftmost operand. Only real nesting (signs, parentheses, calls) and
+/// right operands are left to recursion.
+const Node* left_spine(const Node& node, std::vector<const Node*>& spine) {
+  const Node* leaf = &node;
+  while (is_binary(leaf->kind)) {
+    spine.push_back(leaf);
+    leaf = leaf->args[0].get();
+  }
+  return leaf;
+}
+
+}  // namespace
+
+Expr::Node::~Node() {
+  // Unlinks the left spine one operator at a time, so tearing down a long
+  // flat chain does not recurse once per term. Each unlinked operator is
+  // freed with an empty left operand; its right operand is real nesting.
+  if (!is_binary(kind)) return;
+  NodePtr left = std::move(args[0]);
+  while (left != nullptr && left.use_count() == 1 && is_binary(left->kind)) {
+    // Every node is built non-const (make_shared<Node>), and this one has
+    // no other owner.
+    NodePtr next = std::move(const_cast<Node&>(*left).args[0]);
+    left = std::move(next);
+  }
+}
+
+namespace {
 
 struct Builtin {
   const char* name;
@@ -197,14 +236,21 @@ const Builtin* find_builtin(std::string_view name) {
   return nullptr;
 }
 
+/// Bound on the parser's recursion (unary signs, parentheses, call
+/// arguments). It also bounds the tree's nesting, and with it the
+/// recursion of evaluation and teardown, well below any stack limit; flat
+/// chains such as a 100,000-term sum are not nesting and have no cap.
+constexpr int kMaxExprDepth = 256;
+
 /// Recursive-descent parser over the expression text. Precedence:
-/// unary minus > * / > + -.
+/// unary minus > * / > + -. `depth` counts the enclosing unary signs,
+/// parentheses and calls.
 class ExprParser {
  public:
   explicit ExprParser(std::string_view text) : text_(text) {}
 
   NodePtr parse() {
-    NodePtr root = parse_sum();
+    NodePtr root = parse_sum(0);
     skip_ws();
     if (pos_ != text_.size()) fail("unexpected trailing input");
     return root;
@@ -233,50 +279,54 @@ class ExprParser {
     return false;
   }
 
-  NodePtr parse_sum() {
-    NodePtr left = parse_product();
+  NodePtr parse_sum(int depth) {
+    NodePtr left = parse_product(depth);
     for (;;) {
       if (consume('+')) {
-        left = binary(Node::Kind::Add, left, parse_product());
+        left = binary(Node::Kind::Add, left, parse_product(depth));
       } else if (consume('-')) {
-        left = binary(Node::Kind::Sub, left, parse_product());
+        left = binary(Node::Kind::Sub, left, parse_product(depth));
       } else {
         return left;
       }
     }
   }
 
-  NodePtr parse_product() {
-    NodePtr left = parse_unary();
+  NodePtr parse_product(int depth) {
+    NodePtr left = parse_unary(depth);
     for (;;) {
       if (consume('*')) {
-        left = binary(Node::Kind::Mul, left, parse_unary());
+        left = binary(Node::Kind::Mul, left, parse_unary(depth));
       } else if (consume('/')) {
-        left = binary(Node::Kind::Div, left, parse_unary());
+        left = binary(Node::Kind::Div, left, parse_unary(depth));
       } else {
         return left;
       }
     }
   }
 
-  NodePtr parse_unary() {
+  // Every recursive cycle of the grammar passes through here.
+  NodePtr parse_unary(int depth) {
+    if (depth > kMaxExprDepth) {
+      fail("nested deeper than " + std::to_string(kMaxExprDepth) + " levels");
+    }
     if (consume('-')) {
       auto node = std::make_shared<Node>();
       node->kind = Node::Kind::Neg;
-      node->args.push_back(parse_unary());
+      node->args.push_back(parse_unary(depth + 1));
       return node;
     }
-    if (consume('+')) return parse_unary();
-    return parse_primary();
+    if (consume('+')) return parse_unary(depth + 1);
+    return parse_primary(depth);
   }
 
-  NodePtr parse_primary() {
+  NodePtr parse_primary(int depth) {
     skip_ws();
     if (pos_ >= text_.size()) fail("expected a value");
     const char c = text_[pos_];
     if (c == '(') {
       ++pos_;
-      NodePtr inner = parse_sum();
+      NodePtr inner = parse_sum(depth + 1);
       if (!consume(')')) fail("missing ')'");
       return inner;
     }
@@ -305,8 +355,8 @@ class ExprParser {
       auto node = std::make_shared<Node>();
       node->kind = Node::Kind::Call;
       node->name = name;
-      node->args.push_back(parse_sum());
-      while (consume(',')) node->args.push_back(parse_sum());
+      node->args.push_back(parse_sum(depth + 1));
+      while (consume(',')) node->args.push_back(parse_sum(depth + 1));
       if (!consume(')')) fail("missing ')' after " + name + "(...)");
       if (static_cast<int>(node->args.size()) != builtin->arity) {
         fail(name + "() takes " + std::to_string(builtin->arity) +
@@ -368,43 +418,48 @@ class ExprParser {
   std::size_t pos_ = 0;
 };
 
-void collect_refs(const NodePtr& node, std::vector<std::string>& refs) {
-  if (node->kind == Node::Kind::Ref) {
-    for (const std::string& seen : refs) {
-      if (seen == node->name) return;
+void collect_refs(const Node& node, std::vector<std::string>& refs) {
+  std::vector<const Node*> spine;
+  const Node* leaf = left_spine(node, spine);
+  if (leaf->kind == Node::Kind::Ref) {
+    if (std::find(refs.begin(), refs.end(), leaf->name) == refs.end()) {
+      refs.push_back(leaf->name);
     }
-    refs.push_back(node->name);
-    return;
+  } else {
+    for (const NodePtr& arg : leaf->args) collect_refs(*arg, refs);
   }
-  for (const NodePtr& arg : node->args) collect_refs(arg, refs);
+  for (auto op = spine.rbegin(); op != spine.rend(); ++op) {
+    collect_refs(*(*op)->args[1], refs);
+  }
 }
 
 double eval_node(const Node& node,
                  const std::function<double(const std::string&)>& lookup) {
-  switch (node.kind) {
-    case Node::Kind::Number: return node.value;
-    case Node::Kind::Ref: return lookup(node.name);
-    case Node::Kind::Neg: return -eval_node(*node.args[0], lookup);
-    case Node::Kind::Add:
-      return eval_node(*node.args[0], lookup) +
-             eval_node(*node.args[1], lookup);
-    case Node::Kind::Sub:
-      return eval_node(*node.args[0], lookup) -
-             eval_node(*node.args[1], lookup);
-    case Node::Kind::Mul:
-      return eval_node(*node.args[0], lookup) *
-             eval_node(*node.args[1], lookup);
-    case Node::Kind::Div:
-      return eval_node(*node.args[0], lookup) /
-             eval_node(*node.args[1], lookup);
-    case Node::Kind::Call: break;
+  std::vector<const Node*> spine;
+  const Node* leaf = left_spine(node, spine);
+  double value = 0.0;
+  switch (leaf->kind) {
+    case Node::Kind::Number: value = leaf->value; break;
+    case Node::Kind::Ref: value = lookup(leaf->name); break;
+    case Node::Kind::Neg: value = -eval_node(*leaf->args[0], lookup); break;
+    default: {
+      const Builtin* builtin = find_builtin(leaf->name);
+      value = builtin->arity == 1
+                  ? builtin->fn1(eval_node(*leaf->args[0], lookup))
+                  : builtin->fn2(eval_node(*leaf->args[0], lookup),
+                                 eval_node(*leaf->args[1], lookup));
+    }
   }
-  const Builtin* builtin = find_builtin(node.name);
-  if (builtin->arity == 1) {
-    return builtin->fn1(eval_node(*node.args[0], lookup));
+  for (auto op = spine.rbegin(); op != spine.rend(); ++op) {
+    const double rhs = eval_node(*(*op)->args[1], lookup);
+    switch ((*op)->kind) {
+      case Node::Kind::Add: value = value + rhs; break;
+      case Node::Kind::Sub: value = value - rhs; break;
+      case Node::Kind::Mul: value = value * rhs; break;
+      default: value = value / rhs; break;
+    }
   }
-  return builtin->fn2(eval_node(*node.args[0], lookup),
-                      eval_node(*node.args[1], lookup));
+  return value;
 }
 
 }  // namespace
@@ -416,7 +471,7 @@ Expr Expr::parse(std::string_view text) {
     throw std::invalid_argument("derived-parameter expression is empty");
   }
   out.root_ = ExprParser(out.text_).parse();
-  collect_refs(out.root_, out.refs_);
+  collect_refs(*out.root_, out.refs_);
   return out;
 }
 

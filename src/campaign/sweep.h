@@ -22,7 +22,9 @@
 // Derived-parameter expressions (Expr): floating-point arithmetic
 // (+ - * /, parentheses, unary minus), axis references ($name), and the
 // function set sqrt, exp, log, log10, abs, floor, round, pow, min, max,
-// phi (standard normal CDF), probit (its inverse). Everything is
+// phi (standard normal CDF), probit (its inverse). Nesting (unary signs,
+// parentheses, function calls) is capped at 256 levels; a flat chain such
+// as a+b-c… may be any length. Everything is
 // deterministic — same expression, same inputs, same bits — which is what
 // lets the campaign runner promise stable point streams and request hashes.
 //

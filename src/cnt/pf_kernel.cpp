@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "cnt/pf_kernel_internal.h"
+#include "exec/thread_pool.h"
 #include "numeric/integrate.h"
 #include "numeric/special.h"
+#include "obs/metrics.h"
 #include "util/contracts.h"
 
 namespace cny::cnt {
@@ -36,6 +40,11 @@ inline double p_series_sum(double x, double eps,
   }
   return sum;
 }
+
+/// Nodes per shard of a term's node loop when it runs on several threads:
+/// ~20 shards on the widths the solvers query (2–3k nodes), so uneven
+/// series lengths still balance across threads.
+constexpr std::size_t kShardNodes = 128;
 
 }  // namespace
 
@@ -147,7 +156,8 @@ PfGrid pf_setup(const PitchModel& pitch, double width) {
   return grid;
 }
 
-PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol) {
+PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol,
+                               exec::Fork* fork) {
   const std::size_t n_nodes = grid.xs.size();
   const std::vector<double>& xs = grid.xs;
   const std::vector<double>& fw = grid.fw;
@@ -172,6 +182,32 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol) {
   std::vector<double> tau = grid.tau0;       // empty on the gamma_q path
   std::vector<double> inv_shape(grid.inv_len);
 
+  // With a fork, each term's node updates run sharded, their increments
+  // land in `node_d`, and one thread sums them in node order: the same
+  // bits as the fused loop.
+  std::vector<double> node_d(fork != nullptr ? n_nodes : 0);
+  // Σ_j fw[j]·d_j in node order, d_j = update(j) being node j's increment
+  // for this term; `positive_only` (std::true_type) keeps only d_j > 0.
+  const auto term_sum = [&](auto positive_only, const auto& update) {
+    double term = 0.0;
+    if (fork == nullptr) {
+      for (std::size_t j = 0; j < n_nodes; ++j) {
+        const double d = update(j);
+        if (!positive_only || d > 0.0) term += fw[j] * d;
+      }
+      return term;
+    }
+    fork->run((n_nodes + kShardNodes - 1) / kShardNodes, [&](std::size_t s) {
+      const std::size_t end = std::min(n_nodes, (s + 1) * kShardNodes);
+      for (std::size_t j = s * kShardNodes; j < end; ++j) node_d[j] = update(j);
+    });
+    for (std::size_t j = 0; j < n_nodes; ++j) {
+      const double d = node_d[j];
+      if (!positive_only || d > 0.0) term += fw[j] * d;
+    }
+    return term;
+  };
+
   double acc = grid.p0;   // Σ_{m<n} pₘ z^m, raw quadrature values
   double cum_mass = 0.0;  // Σ_{1≤m<n} pₘ
   double zn = 1.0;        // z^(n-1)
@@ -190,7 +226,7 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol) {
 
     double term = 0.0;
     if (grid.ladder) {
-      for (std::size_t j = 0; j < n_nodes; ++j) {
+      term = term_sum(std::false_type{}, [&](std::size_t j) {
         const double x = xs[j];
         double t = tau[j];
         double dq = 0.0;
@@ -199,8 +235,8 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol) {
           t *= x / (shape + static_cast<double>(s) + 1.0);
         }
         tau[j] = t;
-        term += fw[j] * dq;
-      }
+        return dq;
+      });
       shape += static_cast<double>(k_int);
     } else {
       const double a_hi = static_cast<double>(n) * k;
@@ -219,7 +255,7 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol) {
         for (std::size_t i = 1; i < inv_shape.size(); ++i) {
           inv_shape[i] = 1.0 / (a_hi + static_cast<double>(i));
         }
-        for (std::size_t j = 0; j < n_nodes; ++j) {
+        term = term_sum(std::true_type{}, [&](std::size_t j) {
           tau[j] *= grid.xk[j] * rho;
           const double x = xs[j];
           // x < a+1 runs the table-backed series; past the split,
@@ -230,15 +266,15 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol) {
                   : numeric::gamma_q_prefactored(a_hi, x, tau[j], eps);
           const double diff = q_hi - q_prev[j];
           q_prev[j] = q_hi;
-          if (diff > 0.0) term += fw[j] * diff;
-        }
+          return diff;
+        });
       } else {
-        for (std::size_t j = 0; j < n_nodes; ++j) {
+        term = term_sum(std::true_type{}, [&](std::size_t j) {
           const double q_hi = gamma_q(a_hi, xs[j]);
           const double diff = q_hi - q_prev[j];
           q_prev[j] = q_hi;
-          if (diff > 0.0) term += fw[j] * diff;
-        }
+          return diff;
+        });
       }
     }
     term = std::max(0.0, term);
@@ -258,15 +294,23 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol) {
 }  // namespace detail
 
 PfKernelResult pf_truncated(const PitchModel& pitch, double width, double z,
-                            double rel_tol) {
+                            double rel_tol, unsigned n_threads) {
   CNY_EXPECT(width >= 0.0);
   CNY_EXPECT(z >= 0.0 && z <= 1.0);
   CNY_EXPECT(rel_tol > 0.0);
+  static obs::Counter& calls =
+      obs::Registry::global().counter("cnt.pf_scalar_calls");
+  calls.add(1);
   if (width == 0.0) return {1.0, 0, 0.0};  // N ≡ 0, G ≡ 1
   if (z == 1.0) return {1.0, 0, 0.0};      // G(1) = total mass / total mass
 
   const detail::PfGrid grid = detail::pf_setup(pitch, width);
-  return detail::pf_terms_scalar(grid, z, rel_tol);
+  // One fork serves every term of the query.
+  std::optional<exec::Fork> fork;
+  if ((n_threads == 0 ? exec::hardware_threads() : n_threads) > 1) {
+    fork.emplace(n_threads);
+  }
+  return detail::pf_terms_scalar(grid, z, rel_tol, fork ? &*fork : nullptr);
 }
 
 }  // namespace cny::cnt

@@ -27,6 +27,13 @@
 //     re-seeded per node with one upper incomplete gamma (still 3x fewer
 //     gamma evaluations per term than the full path, which recomputes
 //     f_e, Q(nk,·) and Q((n−1)k,·) at every node of every term).
+//
+//     Each node's update within a term is independent of every other
+//     node's, so with a thread budget > 1 the node loop is sharded: fixed
+//     node ranges run on one exec::Fork per query, each writing its
+//     nodes' increments, and one thread then sums them in node order. The
+//     truncation logic stays serial between terms, so every result bit is
+//     the same at every budget.
 #pragma once
 
 #include "cnt/pitch_model.h"
@@ -47,8 +54,12 @@ struct PfKernelResult {
 /// Evaluates the probability generating function E[z^N(W)] of the CNT count
 /// in a width-`width` window, truncated once the remainder is certifiably
 /// below `rel_tol` of the result. `z` in [0, 1]; z = p_f gives p_F(W).
+/// `n_threads` is the thread budget for the node loop (the caller counts
+/// as one; 0 = hardware concurrency): pure scheduling, every result bit is
+/// the same at every budget. Safe to call from a pool worker.
 [[nodiscard]] PfKernelResult pf_truncated(const PitchModel& pitch,
                                           double width, double z,
-                                          double rel_tol = 1e-14);
+                                          double rel_tol = 1e-14,
+                                          unsigned n_threads = 1);
 
 }  // namespace cny::cnt

@@ -19,6 +19,10 @@
 #include "cnt/pf_kernel.h"
 #include "cnt/pitch_model.h"
 
+namespace cny::exec {
+class Fork;
+}  // namespace cny::exec
+
 namespace cny::cnt::detail {
 
 /// Same tail floor as count_distribution.cpp — the two paths must truncate
@@ -58,8 +62,11 @@ struct PfGrid {
 
 /// The scalar term loop over a prebuilt grid: exactly the op sequence the
 /// original single-width kernel ran after its setup. `pf_truncated` is
-/// pf_setup + pf_terms_scalar.
+/// pf_setup + pf_terms_scalar. With a `fork`, each term's node updates run
+/// sharded on it and are summed in node order, so the result is
+/// bit-identical either way.
 [[nodiscard]] PfKernelResult pf_terms_scalar(const PfGrid& grid, double z,
-                                             double rel_tol);
+                                             double rel_tol,
+                                             exec::Fork* fork = nullptr);
 
 }  // namespace cny::cnt::detail

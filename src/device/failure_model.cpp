@@ -46,7 +46,7 @@ std::shared_ptr<const FailureModel::LogPfInterp> FailureModel::interpolant()
   return interp_.load(std::memory_order_acquire);
 }
 
-double FailureModel::p_f(double width) const {
+double FailureModel::p_f(double width, unsigned n_threads) const {
   CNY_EXPECT(width >= 0.0);
   // Hottest read path in the solvers: a relaxed flag probe, then (only
   // with a table installed) one atomic shared_ptr load — no lock either
@@ -59,10 +59,10 @@ double FailureModel::p_f(double width) const {
       return std::exp(interp->log_pf(width));
     }
   }
-  return p_f_exact(width);
+  return p_f_exact(width, n_threads);
 }
 
-double FailureModel::p_f_exact(double width) const {
+double FailureModel::p_f_exact(double width, unsigned n_threads) const {
   CNY_EXPECT(width >= 0.0);
   {
     const std::shared_lock<std::shared_mutex> lock(memo_mutex_);
@@ -74,7 +74,8 @@ double FailureModel::p_f_exact(double width) const {
   // Evaluate outside any lock: p_F is a pure function, so concurrent
   // duplicate work is merely wasted effort, never an inconsistency.
   const double value =
-      cnt::pf_truncated(pitch_, width, process_.p_fail()).value;
+      cnt::pf_truncated(pitch_, width, process_.p_fail(), 1e-14, n_threads)
+          .value;
   const std::unique_lock<std::shared_mutex> lock(memo_mutex_);
   if (const auto it = memo_find(memo_, width);
       it == memo_.end() || it->first != width) {

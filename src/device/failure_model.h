@@ -49,13 +49,15 @@ class FailureModel {
   /// concurrent solver threads never serialise: when interpolation is
   /// enabled and `width` falls inside its range, an atomically loaded
   /// interpolant snapshot answers with no lock at all; otherwise the memo
-  /// is consulted under a shared (reader) lock.
-  [[nodiscard]] double p_f(double width) const;
+  /// is consulted under a shared (reader) lock. `n_threads` is the thread
+  /// budget of an exact evaluation (cnt::pf_truncated); it never changes a
+  /// result bit.
+  [[nodiscard]] double p_f(double width, unsigned n_threads = 1) const;
 
   /// Always the analytic evaluation (the certified-truncation PGF kernel,
   /// exact to ~1e-12 relative), bypassing any enabled interpolant. Memoised
   /// and thread-safe.
-  [[nodiscard]] double p_f_exact(double width) const;
+  [[nodiscard]] double p_f_exact(double width, unsigned n_threads = 1) const;
 
   /// Batched p_f(): one result per width, each bit-identical to the
   /// corresponding scalar p_f(width) call. Interpolant-covered widths read

@@ -116,7 +116,7 @@ double directional_relaxation(const netlist::Design& design,
   windows.reserve(offsets.size());
   for (const auto& o : offsets) windows.push_back({o.y, o.y + w_probe});
 
-  const double p_f = model.p_f(w_probe);
+  const double p_f = model.p_f(w_probe, params.n_threads);
   const double lambda_s = -std::log(p_f) / w_probe;
   rng::Xoshiro256 rng(rng::derive_seed(params.seed, 0xF10));
   const exec::McPolicy policy{params.n_threads, params.mc_streams};
@@ -221,6 +221,7 @@ FlowResult run_flow(const celllib::Library& lib,
     req.yield_desired = params.yield_desired;
     req.relaxation = relaxation;
     req.short_mode_yield = short_yield;
+    req.n_threads = params.n_threads;
     return solve_w_min(spectrum, model, req);
   };
 
@@ -307,7 +308,8 @@ FlowResult run_flow(const celllib::Library& lib,
 
   dir_relax = directional_relaxation(design, model, params, base.w_min);
   if (engine.length_active()) {
-    const double lambda_s = -std::log(model.p_f(base.w_min)) / base.w_min;
+    const double lambda_s =
+        -std::log(model.p_f(base.w_min, params.n_threads)) / base.w_min;
     length_scale = engine.aligned_length_scale(lambda_s, base.w_min);
   }
 

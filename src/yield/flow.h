@@ -42,9 +42,9 @@ struct FlowParams {
   double active_spacing = 140.0;   ///< same-y diffusion rule for alignment
   std::size_t mc_samples = 20000;  ///< conditional-MC budget (DirectionalOnly)
   std::uint64_t seed = 1;
-  /// Worker threads for the MC loops and the concurrent strategy solves;
-  /// 0 = hardware concurrency. Pure scheduling: every reported number is
-  /// invariant under n_threads.
+  /// Worker threads for the MC loops, the concurrent strategy solves and
+  /// each exact p_F query's node loop; 0 = hardware concurrency. Pure
+  /// scheduling: every reported number is invariant under n_threads.
   unsigned n_threads = 0;
   /// RNG streams the conditional MC is sharded into. Together with `seed`
   /// this fixes the random sequence, so results are a function of

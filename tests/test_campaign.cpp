@@ -176,6 +176,63 @@ TEST(CampaignExpr, EvaluatesArithmeticAndFunctions) {
   EXPECT_NEAR(Expr::parse("probit(phi(1.25))").eval(lookup), 1.25, 1e-9);
 }
 
+TEST(CampaignExpr, RejectsPathologicalNestingWithATypedError) {
+  // 100,000 nested unary minuses (or parentheses, or unary pluses) used to
+  // overflow the stack in the parser: a signal, not an error.
+  constexpr std::size_t kDeep = 100000;
+  const std::string kCases[] = {
+      std::string(kDeep, '-') + "1",
+      std::string(kDeep, '(') + "1" + std::string(kDeep, ')'),
+      std::string(kDeep, '+') + "1",
+  };
+  for (const std::string& text : kCases) {
+    try {
+      (void)Expr::parse(text);
+      FAIL() << "nesting of " << text.size() << " chars must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("nested deeper than"),
+                std::string::npos);
+    }
+  }
+  // The same through a campaign spec, as `campaign --spec=F --dry-run`
+  // compiles it.
+  CampaignSpec spec;
+  spec.axes.push_back({"x", "yield", "0.9"});
+  spec.derived.push_back({"d", "chip_m", kCases[0]});
+  EXPECT_THROW((void)campaign::compile(spec), std::invalid_argument);
+
+  // Nesting within the cap still parses and evaluates.
+  const auto none = [](const std::string&) -> double { return 0.0; };
+  EXPECT_EQ(Expr::parse(std::string(200, '-') + "1").eval(none), 1.0);
+  EXPECT_EQ(Expr::parse(std::string(200, '(') + "2" + std::string(200, ')'))
+                .eval(none),
+            2.0);
+}
+
+TEST(CampaignExpr, LongFlatChainsAreNotNesting) {
+  // A flat chain is a left-leaning tree as deep as it is long. Parsing,
+  // collecting refs, evaluating and destroying it all walk that spine in a
+  // loop, so a 100,000-term chain (which used to overflow the stack in the
+  // evaluator and the teardown) works and is not held to the nesting cap.
+  constexpr std::size_t kTerms = 100000;
+  std::string chain = "1";
+  std::string sum = "$a";
+  for (std::size_t i = 1; i < kTerms; ++i) {
+    chain += "-1";
+    sum += i % 2 == 1 ? "+$b*2" : "-$a/4";
+  }
+  const auto none = [](const std::string&) -> double { return 0.0; };
+  EXPECT_EQ(Expr::parse(chain).eval(none), 1.0 - (kTerms - 1.0));
+
+  const Expr expr = Expr::parse(sum);
+  EXPECT_EQ(expr.refs(), (std::vector<std::string>{"a", "b"}));
+  const auto lookup = [](const std::string& name) {
+    return name == "a" ? 4.0 : 0.5;
+  };
+  // 4 + 50,000 · (0.5·2) − 49,999 · (4/4), every partial sum exact.
+  EXPECT_EQ(expr.eval(lookup), 4.0 + 50000.0 - 49999.0);
+}
+
 TEST(CampaignExpr, CollectsRefsInFirstAppearanceOrder) {
   const auto expr = Expr::parse("$b + $a * ($b - phi($c))");
   EXPECT_EQ(expr.refs(), (std::vector<std::string>{"b", "a", "c"}));

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "celllib/generator.h"
@@ -56,6 +59,97 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
                            if (i == 13) throw std::runtime_error("boom");
                          }),
       std::runtime_error);
+}
+
+TEST(Fork, EveryStepRunsEachIndexOnceAndSeesThePreviousStep) {
+  // Many short steps on one fork, the term-loop pattern: step s reads what
+  // step s-1 wrote to other indices' slots, so a missing happens-before
+  // edge between steps shows up as a wrong sum (and under TSan as a race).
+  constexpr std::size_t kSlots = 37;
+  std::vector<long> prev(kSlots, 0);
+  std::vector<long> cur(kSlots, 0);
+  exec::Fork fork(4);
+  for (long step = 1; step <= 200; ++step) {
+    std::vector<std::atomic<int>> hits(kSlots);
+    fork.run(kSlots, [&](std::size_t i) {
+      hits[i].fetch_add(1);
+      cur[i] = prev[(i + 1) % kSlots] + 1;
+    });
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+    std::swap(prev, cur);
+  }
+  for (const long v : prev) EXPECT_EQ(v, 200);
+}
+
+TEST(Fork, PropagatesTheFirstExceptionAndStaysUsable) {
+  exec::Fork fork(3);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(fork.run(16,
+                        [&](std::size_t i) {
+                          ran.fetch_add(1);
+                          if (i == 5) throw std::runtime_error("boom");
+                        }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 16);  // the step still completes every index
+  std::atomic<int> after{0};
+  fork.run(8, [&](std::size_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 8);
+}
+
+TEST(Fork, CallerFinishesAloneWhenNoHelperStartsAndLateHelpersAreHarmless) {
+  // A one-worker pool whose worker is parked: the fork's helpers cannot
+  // start, so the caller must run every index itself and never wait on
+  // them. They start only after the fork is gone, and must find it retired.
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  exec::ThreadPool pool(1);  // joined before the flags above go away
+  pool.post([&] {
+    parked.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!parked.load()) std::this_thread::yield();
+  std::size_t total = 0;
+  {
+    exec::Fork fork(4, &pool);
+    for (int step = 0; step < 10; ++step) {
+      fork.run(5, [&](std::size_t i) { total += i; });
+    }
+  }
+  EXPECT_EQ(total, 100u);
+  release.store(true);  // the late helper runs now; ~ThreadPool drains it
+}
+
+TEST(Fork, ParallelForHelpersReturnToThePoolOnceNothingIsLeftToClaim) {
+  // parallel_for is a fork's last step: a helper that runs out of indices
+  // must go back to the pool while the caller is still busy, not sleep
+  // until the fork is destroyed. The pool has one worker; its helper
+  // claims an index and posts a probe there, and the caller's index waits
+  // for the probe to run. A helper held by the fork keeps the probe queued
+  // until the caller gives up.
+  exec::ThreadPool pool(1);
+  std::atomic<bool> probe_ran{false};
+  std::atomic<bool> probe_posted{false};
+  bool ran_in_time = false;
+  exec::parallel_for(
+      2, 2,
+      [&](std::size_t) {
+        if (exec::ThreadPool::on_worker_thread()) {
+          if (!probe_posted.exchange(true)) {
+            pool.post([&] { probe_ran.store(true); });
+          }
+          return;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        while (!probe_ran.load() &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        ran_in_time = ran_in_time || probe_ran.load();
+      },
+      &pool);
+  EXPECT_TRUE(ran_in_time);
+  while (!probe_ran.load()) std::this_thread::yield();  // before ~pool
 }
 
 TEST(ThreadPool, WorkerThreadDetection) {

@@ -12,6 +12,8 @@
 #include "layout/aligned_active.h"
 #include "layout/floorplan.h"
 #include "netlist/design_generator.h"
+#include "obs/metrics.h"
+#include "service/protocol.h"
 #include "util/contracts.h"
 #include "yield/circuit_yield.h"
 #include "yield/empty_window.h"
@@ -148,6 +150,23 @@ TEST(Integration, WminSolutionIsTightOnTheCurve) {
   EXPECT_GT(model.p_f(res.w_min - 2.0), target);
 }
 
+std::uint64_t counter_value(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+/// The canonical cold exact flow: Y = 0.90, M = 1e8, interpolant off.
+yield::FlowParams cold_exact_params(unsigned n_threads,
+                                    std::size_t mc_samples = 20000) {
+  yield::FlowParams params;
+  params.yield_desired = 0.90;
+  params.chip_transistors = 1e8;
+  params.mc_samples = mc_samples;
+  params.mc_streams = 16;
+  params.use_interpolant = false;
+  params.n_threads = n_threads;
+  return params;
+}
+
 TEST(Integration, CanonicalFlowSolvesMakeAtMostSixteenPfQueries) {
   // Deterministic work-count gate: the canonical cold flow (nangate45-like
   // library, OpenRISC-like design, Y = 0.90, M = 1e8) re-solved strategy by
@@ -157,11 +176,7 @@ TEST(Integration, CanonicalFlowSolvesMakeAtMostSixteenPfQueries) {
   const auto model = [] {
     return device::FailureModel(cnt::PitchModel(4.0, 0.9), cnt::fig21_worst());
   };
-  yield::FlowParams params;
-  params.yield_desired = 0.90;
-  params.chip_transistors = 1e8;
-  params.mc_samples = 20000;
-  params.mc_streams = 16;
+  const auto params = cold_exact_params(0);
   const auto flow = yield::run_flow(lib, design, model(), params);
   const auto spectrum = yield::scale_spectrum(
       design.width_spectrum(), 1.0, 1e8 / double(design.n_transistors()));
@@ -175,6 +190,54 @@ TEST(Integration, CanonicalFlowSolvesMakeAtMostSixteenPfQueries) {
     queries += solved.p_f_queries;
   }
   EXPECT_LE(queries, 16);
+}
+
+TEST(Integration, CanonicalColdFlowMakesAtMostFifteenExactKernelCalls) {
+  // Deterministic work-count gate for the scalar p_F kernel: the secant
+  // queries of the four solves plus the directional probe. A budget of 4
+  // shards each query's nodes; it must not add queries.
+  const auto lib = celllib::make_nangate45_like();
+  const auto design = netlist::make_openrisc_like(lib);
+  for (const unsigned threads : {1u, 4u}) {
+    const device::FailureModel model(cnt::PitchModel(4.0, 0.9),
+                                     cnt::fig21_worst());
+    const std::uint64_t before = counter_value("cnt.pf_scalar_calls");
+    (void)yield::run_flow(lib, design, model, cold_exact_params(threads));
+    const std::uint64_t calls = counter_value("cnt.pf_scalar_calls") - before;
+    EXPECT_GE(calls, 1u) << "threads=" << threads;
+    EXPECT_LE(calls, 15u) << "threads=" << threads;
+  }
+}
+
+TEST(Integration, ColdExactFlowResponseBytesIgnoreThreadCount) {
+  // The sharded kernel's end-to-end pin: with the interpolant off every
+  // p_F the response depends on comes from the exact kernel, run at the
+  // flow's thread budget.
+  const auto lib = celllib::make_nangate45_like();
+  const auto design = netlist::make_openrisc_like(lib);
+  std::string reference;
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    const device::FailureModel model(cnt::PitchModel(4.0, 0.9),
+                                     cnt::fig21_worst());
+    const std::string bytes = service::encode_flow_response(
+        yield::run_flow(lib, design, model, cold_exact_params(threads, 2000)));
+    if (threads == 1) {
+      reference = bytes;
+    } else {
+      EXPECT_EQ(bytes, reference) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(Integration, OneThreadFlowPostsNoPoolTask) {
+  // Budget 1 means one thread: no stage fork, MC fork or kernel fork.
+  const auto lib = celllib::make_nangate45_like();
+  const auto design = netlist::make_openrisc_like(lib);
+  const device::FailureModel model(cnt::PitchModel(4.0, 0.9),
+                                   cnt::fig21_worst());
+  const std::uint64_t before = counter_value("exec.tasks_posted");
+  (void)yield::run_flow(lib, design, model, cold_exact_params(1, 2000));
+  EXPECT_EQ(counter_value("exec.tasks_posted") - before, 0u);
 }
 
 TEST(Integration, EndToEndDeterminism) {

@@ -4,12 +4,20 @@
 // its own truncation remainder.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstring>
+#include <thread>
+#include <vector>
 
 #include "cnt/count_distribution.h"
 #include "cnt/pf_kernel.h"
+#include "cnt/pf_kernel_internal.h"
 #include "cnt/process.h"
+#include "exec/thread_pool.h"
 #include "numeric/special.h"
+#include "obs/metrics.h"
 #include "rng/engine.h"
 #include "util/contracts.h"
 
@@ -164,6 +172,135 @@ TEST(PfKernel, GammaQPrefactoredMatchesGammaQ) {
       EXPECT_LE(rel_err(got, want), 1e-12) << "a=" << a << " x=" << x;
     }
   }
+}
+
+// ------------------------------------------- node-sharded term loop
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// The three result fields compared bit for bit.
+void expect_bit_identical(const cny::cnt::PfKernelResult& got,
+                          const cny::cnt::PfKernelResult& want,
+                          const std::string& where) {
+  EXPECT_TRUE(same_bits(got.value, want.value))
+      << where << " value " << got.value << " vs " << want.value;
+  EXPECT_EQ(got.terms, want.terms) << where;
+  EXPECT_TRUE(same_bits(got.remainder_bound, want.remainder_bound))
+      << where << " remainder " << got.remainder_bound << " vs "
+      << want.remainder_bound;
+}
+
+std::uint64_t tasks_posted() {
+  return cny::obs::Registry::global().counter("exec.tasks_posted").value();
+}
+
+TEST(PfKernelSharded, BitIdenticalAtEveryBudgetOnAllThreePaths) {
+  // CV 0.9: non-integer shape, prefactored series/CF path. CV 1.0 and 0.5:
+  // the integer-shape ladder (k = 1 and k = 4). CV 0.3 at 250 nm:
+  // W/θ ≥ 650, the per-node gamma_q fallback.
+  struct Case {
+    double cv;
+    double width;
+    bool ladder;
+    bool prefactored;
+  };
+  const Case cases[] = {
+      {0.9, 20.0, false, true},  {0.9, 100.0, false, true},
+      {0.9, 155.0, false, true}, {0.9, 400.0, false, true},
+      {1.0, 60.0, true, true},   {1.0, 155.0, true, true},
+      {0.5, 60.0, true, true},   {0.5, 155.0, true, true},
+      {0.3, 250.0, false, false},
+  };
+  for (const Case& c : cases) {
+    const PitchModel pitch(4.0, c.cv);
+    const auto grid = cny::cnt::detail::pf_setup(pitch, c.width);
+    ASSERT_EQ(grid.ladder, c.ladder) << "cv=" << c.cv;
+    ASSERT_EQ(grid.prefactored, c.prefactored) << "cv=" << c.cv;
+    for (const double z : {0.1, 0.531}) {
+      const auto serial = pf_truncated(pitch, c.width, z, 1e-14, 1);
+      for (const unsigned budget : {2u, 3u, 4u, 8u}) {
+        const std::uint64_t posted = tasks_posted();
+        const auto sharded = pf_truncated(pitch, c.width, z, 1e-14, budget);
+        expect_bit_identical(sharded, serial,
+                             "cv=" + std::to_string(c.cv) +
+                                 " w=" + std::to_string(c.width) +
+                                 " z=" + std::to_string(z) +
+                                 " budget=" + std::to_string(budget));
+        if (cny::exec::ThreadPool::shared().size() > 1) {
+          EXPECT_GT(tasks_posted(), posted) << "budget " << budget
+                                            << " never forked";
+        }
+      }
+    }
+  }
+}
+
+TEST(PfKernelSharded, GridsWithFewerShardsThanThreadsStayBitIdentical) {
+  // Truncated copies of a real grid: 100 nodes is under one shard (no
+  // fork at all), 300 nodes is three shards against budgets up to 8.
+  const PitchModel pitch(4.0, 0.9);
+  const double z = 0.531;
+  for (const std::size_t nodes : {std::size_t{100}, std::size_t{300}}) {
+    auto grid = cny::cnt::detail::pf_setup(pitch, 155.0);
+    ASSERT_GT(grid.xs.size(), nodes);
+    grid.xs.resize(nodes);
+    grid.fw.resize(nodes);
+    grid.tau0.resize(nodes);
+    grid.xk.resize(nodes);
+    const auto serial = cny::cnt::detail::pf_terms_scalar(grid, z, 1e-14);
+    ASSERT_GT(serial.terms, 0);
+    for (const unsigned budget : {2u, 3u, 4u, 8u}) {
+      cny::exec::Fork fork(budget);
+      expect_bit_identical(
+          cny::cnt::detail::pf_terms_scalar(grid, z, 1e-14, &fork), serial,
+          "nodes=" + std::to_string(nodes) +
+              " budget=" + std::to_string(budget));
+    }
+  }
+}
+
+TEST(PfKernelSharded, FinishesInsideAPoolTaskWhileEveryOtherWorkerIsBlocked) {
+  // The deadlock regression: the stage-1 solves call the kernel from pool
+  // workers. Park every other worker of the shared pool, then run a
+  // budget-4 query from the one free worker. Its helpers queue behind the
+  // parked workers and never start; the caller must finish every shard
+  // itself and never wait on them.
+  auto& pool = cny::exec::ThreadPool::shared();
+  const PitchModel pitch(4.0, 0.9);
+  const auto serial = pf_truncated(pitch, 130.0, 0.531, 1e-14, 1);
+
+  std::atomic<unsigned> parked{0};
+  std::atomic<bool> release{false};
+  for (unsigned i = 0; i + 1 < pool.size(); ++i) {
+    pool.post([&] {
+      parked.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+      parked.fetch_sub(1);
+    });
+  }
+  while (parked.load() + 1 < pool.size()) std::this_thread::yield();
+
+  std::atomic<bool> done{false};
+  cny::cnt::PfKernelResult nested;
+  pool.post([&] {
+    nested = pf_truncated(pitch, 130.0, 0.531, 1e-14, 4);
+    done.store(true);
+  });
+  // A deadlock shows up as a failure, not a hang: past the deadline the
+  // parked workers are released, so the queued helpers can finish it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const bool finished_alone = done.load();
+  release.store(true);
+  while (!done.load() || parked.load() != 0) std::this_thread::yield();
+  EXPECT_TRUE(finished_alone) << "the query waited on helpers that never "
+                                 "started";
+  expect_bit_identical(nested, serial, "nested w=130");
 }
 
 }  // namespace
