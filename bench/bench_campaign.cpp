@@ -22,8 +22,8 @@
 // evaluation, canonical-JSON hashing), which resume re-pays on every
 // invocation before any flow runs.
 //
-// NOTE: the checked-in baseline was recorded on a 1-core container (see
-// bench/baselines/README.md); everything here runs with n_threads = 1.
+// Everything here runs with n_threads = 1 (host notes for the checked-in
+// baseline: bench/baselines/README.md).
 #include <benchmark/benchmark.h>
 
 #include <cstddef>

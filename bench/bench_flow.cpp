@@ -55,39 +55,6 @@ BENCHMARK(BM_FullYieldFlowThreads)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The batched entry point: a 3-point yield-target sweep sharing one p_F(W)
-// interpolant, vs re-running run_flow per point (see run_flow_batch).
-void BM_FlowBatchSweep(benchmark::State& state) {
-  static const cny::celllib::Library lib = cny::celllib::make_nangate45_like();
-  static const cny::netlist::Design design =
-      cny::netlist::make_openrisc_like(lib);
-  const cny::experiments::PaperParams paper;
-  std::vector<cny::yield::FlowJob> jobs;
-  for (double y : {0.80, 0.90, 0.95}) {
-    cny::yield::FlowJob job;
-    job.design = &design;
-    job.params.yield_desired = y;
-    jobs.push_back(job);
-  }
-  cny::yield::BatchParams batch;
-  batch.share_interpolant = state.range(0) != 0;
-  for (auto _ : state) {
-    // Fresh model per iteration: measure the cold cost a new process/param
-    // set pays, not replays against an already-warm memo cache.
-    state.PauseTiming();
-    const auto cold_model = paper.failure_model();
-    state.ResumeTiming();
-    const auto results =
-        cny::yield::run_flow_batch(lib, jobs, cold_model, batch);
-    benchmark::DoNotOptimize(results.size());
-  }
-  record_memory(state);
-}
-BENCHMARK(BM_FlowBatchSweep)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 // Single-design run_flow with the bracket-scoped interpolant opt-in
 // (FlowParams::use_interpolant): Arg 0 = exact p_F per solver query,
 // Arg 1 = one 65-knot table up front, answered from the snapshot after.

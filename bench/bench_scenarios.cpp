@@ -5,13 +5,14 @@
 //   BM_FlowShorts          — + combined open x short W_min fixpoint and the
 //                            per-strategy required-p_Rm bisections
 //   BM_FlowAllMechanisms   — shorts + finite length + removal frontier
-//   BM_FrontierBatchShared — 4-point removal sweep through run_flow_batch,
-//                            one warm model + table per derived corner
-//   BM_FrontierBatchCold   — the same sweep with share_interpolant off:
+//   BM_FrontierBatchShared — 4-point removal sweep through the evaluation
+//                            core (service::evaluate_grouped) on a fresh
+//                            SessionCache: one warm session (library,
+//                            model + table, design) per derived corner
+//   BM_FrontierBatchCold   — the same sweep as solo exact run_flow calls:
 //                            what per-corner sharing saves
 //
-// NOTE: the checked-in baseline was recorded on a 1-core container (see
-// bench/baselines/README.md), so the batch entries measure kernel cost, not
+// Everything runs on one thread, so the batch entries measure work, not
 // parallel speedup.
 #include <benchmark/benchmark.h>
 
@@ -19,6 +20,7 @@
 #include "device/failure_model.h"
 #include "netlist/design_generator.h"
 #include "scenario/engine.h"
+#include "service/session_cache.h"
 #include "yield/flow.h"
 
 namespace {
@@ -84,44 +86,41 @@ void BM_FlowAllMechanisms(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowAllMechanisms)->Unit(benchmark::kMillisecond);
 
-std::vector<yield::FlowJob> frontier_jobs() {
+std::vector<service::FlowRequest> frontier_requests() {
   // 4 removal targets -> 4 distinct derived corners (feasible across the
   // sweep at selectivity 6), each evaluated at 2 yield targets — the shape
   // of coalesced sweep traffic, where per-corner table sharing pays.
-  std::vector<yield::FlowJob> jobs;
+  std::vector<service::FlowRequest> requests;
   for (const double p_rm : {0.99, 0.999, 0.9999, 0.99999}) {
     for (const double yield_target : {0.85, 0.90}) {
-      yield::FlowJob job;
-      job.design = &design();
-      job.params = flow_params();
-      job.params.yield_desired = yield_target;
-      job.params.scenario.removal = scenario::RemovalFrontier{6.0, p_rm};
-      jobs.push_back(job);
+      service::FlowRequest request;
+      request.params = flow_params();
+      request.params.yield_desired = yield_target;
+      request.params.scenario.removal = scenario::RemovalFrontier{6.0, p_rm};
+      requests.push_back(request);
     }
   }
-  return jobs;
+  return requests;
 }
 
 void BM_FrontierBatchShared(benchmark::State& state) {
-  const auto jobs = frontier_jobs();
-  yield::BatchParams batch;
-  batch.n_threads = 1;
-  batch.share_interpolant = true;
+  const auto requests = frontier_requests();
+  std::vector<const service::FlowRequest*> pointers;
+  for (const auto& request : requests) pointers.push_back(&request);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        yield::run_flow_batch(library(), jobs, model(), batch));
+    service::SessionCache cache(4, 65, 1);
+    benchmark::DoNotOptimize(service::evaluate_grouped(cache, pointers, 1));
   }
 }
 BENCHMARK(BM_FrontierBatchShared)->Unit(benchmark::kMillisecond);
 
 void BM_FrontierBatchCold(benchmark::State& state) {
-  const auto jobs = frontier_jobs();
-  yield::BatchParams batch;
-  batch.n_threads = 1;
-  batch.share_interpolant = false;
+  const auto requests = frontier_requests();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        yield::run_flow_batch(library(), jobs, model(), batch));
+    for (const auto& request : requests) {
+      benchmark::DoNotOptimize(
+          yield::run_flow(library(), design(), model(), request.params));
+    }
   }
 }
 BENCHMARK(BM_FrontierBatchCold)->Unit(benchmark::kMillisecond);

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <future>
-#include <map>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -14,14 +13,11 @@
 #include <thread>
 #include <utility>
 
-#include "exec/thread_pool.h"
-#include "netlist/design.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
 #include "service/json.h"
 #include "service/server.h"
 #include "service/session_cache.h"
-#include "yield/flow.h"
 
 namespace cny::campaign {
 
@@ -36,12 +32,7 @@ std::uint64_t sessions_built(const service::YieldServer& server) {
       .as_u64();
 }
 
-/// One pending point's outcome, chunk-local until the in-order append.
-struct Outcome {
-  std::string result_json;
-  std::string error_code;
-  std::string error_message;
-};
+using service::Outcome;
 
 /// Progress sidecar writer: one self-contained JSON line per finished
 /// chunk, flushed immediately so `tail -f` (or a dashboard) sees each
@@ -95,50 +86,6 @@ class ProgressSidecar {
  private:
   std::FILE* file_ = nullptr;
 };
-
-/// The server's evaluate_group without the sockets: one warm session per
-/// group, job-indexed slots, per-job error capture.
-void evaluate_group_direct(const std::vector<const CompiledPoint*>& chunk,
-                           const std::vector<std::size_t>& indices,
-                           std::vector<Outcome>& outcomes,
-                           service::SessionCache& cache,
-                           unsigned n_threads) {
-  std::shared_ptr<const service::Session> session;
-  try {
-    session =
-        cache.acquire(service::session_key(chunk[indices.front()]->request));
-  } catch (const std::exception& e) {
-    for (const std::size_t index : indices) {
-      outcomes[index] = {"", "internal_error", e.what()};
-    }
-    return;
-  }
-  std::vector<std::shared_ptr<const netlist::Design>> designs(indices.size());
-  std::vector<unsigned char> failed(indices.size(), 0);
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    try {
-      designs[i] =
-          session->design(chunk[indices[i]]->request.design_instances);
-    } catch (const std::exception& e) {
-      outcomes[indices[i]] = {"", "internal_error", e.what()};
-      failed[i] = 1;
-    }
-  }
-  exec::parallel_for(indices.size(), n_threads, [&](std::size_t i) {
-    if (failed[i]) return;
-    yield::FlowParams params = chunk[indices[i]]->request.params;
-    params.n_threads = n_threads;
-    try {
-      const yield::FlowResult result = yield::run_flow(
-          session->library(), *designs[i], session->model(), params);
-      outcomes[indices[i]] = {service::to_json(result).dump(), "", ""};
-    } catch (const std::exception& e) {
-      // Same code the service wire path uses, so direct and via-service
-      // stores stay byte-identical even on infeasible points.
-      outcomes[indices[i]] = {"", "evaluation_failed", e.what()};
-    }
-  });
-}
 
 /// Classifies one response for the via-service path. A terminal outcome
 /// fills `out` and returns true; a transient one (retry-safe: transient
@@ -330,17 +277,15 @@ CampaignStats run_campaign(const std::vector<CompiledPoint>& points,
       evaluate_chunk_service(chunk, outcomes, *server, options.retry,
                              stats.retry_rounds, options.log.get());
     } else {
-      // Group by session key so each warm corner is evaluated once per
-      // chunk; std::map iteration keeps the group order deterministic.
-      std::map<std::string, std::vector<std::size_t>> groups;
-      for (std::size_t i = 0; i < chunk.size(); ++i) {
-        groups[service::session_key(chunk[i]->request).canonical()]
-            .push_back(i);
+      // Grouped by session key, so each warm corner is evaluated once per
+      // chunk, on the same core the server runs.
+      std::vector<const service::FlowRequest*> requests;
+      requests.reserve(chunk.size());
+      for (const CompiledPoint* point : chunk) {
+        requests.push_back(&point->request);
       }
-      for (const auto& [canonical, indices] : groups) {
-        evaluate_group_direct(chunk, indices, outcomes, *cache,
-                              options.n_threads);
-      }
+      outcomes =
+          service::evaluate_grouped(*cache, requests, options.n_threads);
     }
     // Checkpoint: append this chunk's records in campaign order. Only
     // after a record is on disk does it count as done.

@@ -9,9 +9,8 @@
 // flush per line — the checkpoint granularity is the most a kill can cost.
 //
 // Two paths, one byte-identical store:
-//   * direct      — a private service::SessionCache + exec::parallel_for
-//                   over yield::run_flow, the server's evaluate_group
-//                   without the sockets;
+//   * direct      — a private service::SessionCache and the evaluation
+//                   core (service::evaluate) the server also runs;
 //   * via_service — a loopback YieldServer (submit/decode), proving the
 //                   wire path agrees.
 // Both read warm full-bracket interpolants, so results are invariant under

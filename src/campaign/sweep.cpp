@@ -12,8 +12,18 @@ namespace cny::campaign {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& what) {
-  throw std::invalid_argument(what);
+/// User text as an error message echoes it: at most the first 64 bytes,
+/// then "…" and the total length, so a message stays small however large
+/// the input.
+std::string excerpt(std::string_view text) {
+  constexpr std::size_t kMaxEcho = 64;
+  if (text.size() <= kMaxEcho) return std::string(text);
+  return std::string(text.substr(0, kMaxEcho)) + "… (" +
+         std::to_string(text.size()) + " bytes)";
+}
+
+[[noreturn]] void fail(std::string_view expr, const std::string& what) {
+  throw std::invalid_argument("sweep '" + excerpt(expr) + "': " + what);
 }
 
 /// util::parse_double throws ContractViolation with a generic message;
@@ -22,8 +32,7 @@ double number(std::string_view token, std::string_view expr) {
   try {
     return util::parse_double(token);
   } catch (const std::exception&) {
-    fail("sweep '" + std::string(expr) + "': '" + std::string(token) +
-         "' is not a number");
+    fail(expr, "'" + excerpt(token) + "' is not a number");
   }
 }
 
@@ -33,9 +42,9 @@ std::size_t point_count(std::string_view token, std::string_view expr) {
   const double n = number(token, expr);
   if (n != std::floor(n) || n < 2.0 ||
       n > static_cast<double>(kMaxSweepValues)) {
-    fail("sweep '" + std::string(expr) + "': point count '" +
-         std::string(token) + "' must be an integer in [2, " +
-         std::to_string(kMaxSweepValues) + "]");
+    fail(expr, "point count '" + excerpt(token) +
+                   "' must be an integer in [2, " +
+                   std::to_string(kMaxSweepValues) + "]");
   }
   return static_cast<std::size_t>(n);
 }
@@ -43,7 +52,7 @@ std::size_t point_count(std::string_view token, std::string_view expr) {
 std::vector<double> expand_range(double start, double step, double stop,
                                  std::string_view expr) {
   if (step == 0.0) {
-    fail("sweep '" + std::string(expr) + "': step must be non-zero");
+    fail(expr, "step must be non-zero");
   }
   // Index-based span count: the tiny relative tolerance keeps an intended
   // endpoint (0.8:0.05:0.95) inside the sweep when (stop-start)/step lands
@@ -51,12 +60,11 @@ std::vector<double> expand_range(double start, double step, double stop,
   // whole step past stop.
   const double span = (stop - start) / step;
   if (span < 0.0) {
-    fail("sweep '" + std::string(expr) +
-         "': step moves away from stop (reversed bounds?)");
+    fail(expr, "step moves away from stop (reversed bounds?)");
   }
   if (span > static_cast<double>(kMaxSweepValues)) {
-    fail("sweep '" + std::string(expr) + "': range expands past " +
-         std::to_string(kMaxSweepValues) + " values");
+    fail(expr, "range expands past " + std::to_string(kMaxSweepValues) +
+                   " values");
   }
   const auto count =
       static_cast<std::size_t>(std::floor(span + 1e-9 * (1.0 + span))) + 1;
@@ -74,8 +82,8 @@ std::vector<double> expand_spaced(std::string_view kind,
                                   const std::vector<std::string>& tokens,
                                   std::string_view expr) {
   if (tokens.size() != 4) {
-    fail("sweep '" + std::string(expr) + "': " + std::string(kind) +
-         " form is " + std::string(kind) + ":start:stop:n");
+    fail(expr, std::string(kind) + " form is " + std::string(kind) +
+                   ":start:stop:n");
   }
   const double lo = number(tokens[1], expr);
   const double hi = number(tokens[2], expr);
@@ -89,8 +97,7 @@ std::vector<double> expand_spaced(std::string_view kind,
     }
   } else if (kind == "log") {
     if (lo <= 0.0 || hi <= 0.0) {
-      fail("sweep '" + std::string(expr) +
-           "': log bounds must be positive");
+      fail(expr, "log bounds must be positive");
     }
     for (std::size_t i = 0; i < n; ++i) {
       out.push_back(lo * std::pow(hi / lo, static_cast<double>(i) /
@@ -98,8 +105,7 @@ std::vector<double> expand_spaced(std::string_view kind,
     }
   } else {  // probit
     if (!(lo > 0.0 && lo < 1.0 && hi > 0.0 && hi < 1.0)) {
-      fail("sweep '" + std::string(expr) +
-           "': probit bounds must be probabilities in (0, 1)");
+      fail(expr, "probit bounds must be probabilities in (0, 1)");
     }
     // Mirrors cnt::RemovalTradeoff::frontier bit for bit (same quantile/CDF
     // and the same evaluation order), so a campaign probit axis reproduces
@@ -119,13 +125,15 @@ std::vector<double> expand_spaced(std::string_view kind,
 
 std::vector<double> expand_sweep(std::string_view expr) {
   const std::string_view trimmed = util::trim(expr);
-  if (trimmed.empty()) fail("sweep expression is empty");
+  if (trimmed.empty()) {
+    throw std::invalid_argument("sweep expression is empty");
+  }
 
   if (trimmed.find(':') != std::string_view::npos) {
     const auto tokens = util::split(trimmed, ':');
     for (const auto& token : tokens) {
       if (token.empty()) {
-        fail("sweep '" + std::string(trimmed) + "': empty ':' token");
+        fail(trimmed, "empty ':' token");
       }
     }
     const std::string kind = util::to_lower(tokens.front());
@@ -133,8 +141,8 @@ std::vector<double> expand_sweep(std::string_view expr) {
       return expand_spaced(kind, tokens, trimmed);
     }
     if (tokens.size() != 3) {
-      fail("sweep '" + std::string(trimmed) +
-           "': range form is start:step:stop (or lin/log/probit:start:stop:n)");
+      fail(trimmed,
+           "range form is start:step:stop (or lin/log/probit:start:stop:n)");
     }
     return expand_range(number(tokens[0], trimmed), number(tokens[1], trimmed),
                         number(tokens[2], trimmed), trimmed);
@@ -143,7 +151,7 @@ std::vector<double> expand_sweep(std::string_view expr) {
   std::vector<double> out;
   for (const auto& token : util::split(trimmed, ',')) {
     if (token.empty()) {
-      fail("sweep '" + std::string(trimmed) + "': empty list entry");
+      fail(trimmed, "empty list entry");
     }
     out.push_back(number(token, trimmed));
   }
@@ -258,7 +266,7 @@ class ExprParser {
 
  private:
   [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("expression '" + std::string(text_) +
+    throw std::invalid_argument("expression '" + excerpt(text_) +
                                 "' at position " + std::to_string(pos_) +
                                 ": " + what);
   }
@@ -349,7 +357,8 @@ class ExprParser {
         for (const Builtin& b : kBuiltins) {
           known += known.empty() ? b.name : std::string(", ") + b.name;
         }
-        fail("unknown function '" + name + "' (known: " + known + ")");
+        fail("unknown function '" + excerpt(name) + "' (known: " + known +
+             ")");
       }
       if (!consume('(')) fail("'" + name + "' must be called as a function");
       auto node = std::make_shared<Node>();
@@ -385,7 +394,7 @@ class ExprParser {
     try {
       value = util::parse_double(text_.substr(start, pos_ - start));
     } catch (const std::exception&) {
-      fail("'" + std::string(text_.substr(start, pos_ - start)) +
+      fail("'" + excerpt(text_.substr(start, pos_ - start)) +
            "' is not a number");
     }
     auto node = std::make_shared<Node>();

@@ -7,7 +7,7 @@
 // m-CNT removal shorting devices [Zhang 09b], collateral s-CNT loss from
 // VMR-style removal [Patil 09c], finite/variable CNT length — exist in this
 // tree as standalone models. A ScenarioSpec makes them composable knobs of
-// `run_flow`/`run_flow_batch`/the yield service: each mechanism is an
+// `run_flow`, the campaign runner and the yield service: each mechanism is an
 // optional parameter block; absent means "the paper's assumption" and an
 // empty spec reproduces the open-only flow bit for bit.
 //

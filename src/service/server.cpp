@@ -14,7 +14,6 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -26,7 +25,6 @@
 #include "obs/openmetrics.h"
 #include "obs/resource.h"
 #include "util/contracts.h"
-#include "yield/flow.h"
 
 namespace cny::service {
 
@@ -39,13 +37,6 @@ std::future<std::string> ready_future(std::string frame) {
   std::promise<std::string> promise;
   promise.set_value(std::move(frame));
   return promise.get_future();
-}
-
-std::uint64_t us_since(std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
 }
 
 }  // namespace
@@ -230,13 +221,11 @@ struct YieldServer::Impl {
     }
   }
 
-  /// Evaluates the requests at `indices` (which must share one session
-  /// key) as one coalesced batch on the group's warm session model. The
-  /// session model already carries the full-bracket interpolant, so every
-  /// job — batched or solo — reads the *same* table and responses stay
-  /// batching-invariant (a per-batch table would break that). Failures are
-  /// per job: an infeasible scenario gets its own error frame while the
-  /// rest of the group keeps its results.
+  /// Answers the requests at `indices` (which must share one session key)
+  /// as one coalesced batch: sheds the expired ones, hands the rest to the
+  /// evaluation core (session_cache.h evaluate), and frames each outcome.
+  /// An outcome never depends on the batch it rode in, so solo and burst
+  /// responses are the same bytes.
   void evaluate_group(std::vector<Pending>& batch,
                       const std::vector<std::size_t>& all_indices) {
     // Deadline shed, *before* any session or evaluation work: a request
@@ -283,89 +272,40 @@ struct YieldServer::Impl {
       }
     }
     if (indices.empty()) return;
-    std::shared_ptr<const Session> session;
-    try {
-      session = cache.acquire(session_key(batch[indices.front()].request));
-    } catch (const std::exception& e) {
-      for (const std::size_t index : indices) {
-        c_errors.add(1);
-        batch[index].promise.set_value(
-            encode_error("internal_error", e.what()));
-      }
-      return;
+    std::vector<const FlowRequest*> requests;
+    requests.reserve(indices.size());
+    for (const std::size_t index : indices) {
+      requests.push_back(&batch[index].request);
     }
-    // Shared design handles pin every job's design for the duration of
-    // the batch, across the session's own design-cache eviction.
-    std::vector<std::shared_ptr<const netlist::Design>> designs(
-        indices.size());
-    std::vector<std::string> frames(indices.size());
-    // Bytes, not vector<bool>: workers flag distinct indices concurrently.
-    std::vector<unsigned char> failed(indices.size(), 0);
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      const FlowRequest& request = batch[indices[i]].request;
-      try {
-        designs[i] = session->design(request.design_instances);
-      } catch (const std::exception& e) {
-        frames[i] = encode_error("internal_error", e.what());
-        failed[i] = 1;
-      }
-    }
-    // Job-indexed slots + per-job determinism: scheduling cannot change
-    // any response (same shape as run_flow_batch, with per-job error
-    // capture so one bad request never poisons its batch).
-    exec::parallel_for(indices.size(), options.n_threads, [&](std::size_t i) {
-      if (failed[i]) return;
-      const FlowRequest& request = batch[indices[i]].request;
-      yield::FlowParams params = request.params;
-      // Server-side scheduling knob; invariant on the results.
-      params.n_threads = options.n_threads;
-      try {
-        yield::FlowResult result;
-        {
-          obs::Span span(trace(), "evaluate", "server");
-          if (!request.trace_id.empty()) {
-            span.arg("trace_id", request.trace_id);
-          }
-          const auto t0 = std::chrono::steady_clock::now();
-          result = yield::run_flow(session->library(), *designs[i],
-                                   session->model(), params);
-          h_evaluate.observe(us_since(t0));
-        }
-        obs::Span span(trace(), "serialize", "server");
-        if (!request.trace_id.empty()) span.arg("trace_id", request.trace_id);
-        const auto s0 = std::chrono::steady_clock::now();
-        frames[i] = encode_flow_response(result);
-        h_serialize.observe(us_since(s0));
-      } catch (const std::exception& e) {
-        frames[i] = encode_error("evaluation_failed", e.what());
-        failed[i] = 1;
-      }
-    });
-    // Count before publishing: a client woken by set_value must see its
-    // own request in the stats (the relaxed adds are sequenced before the
-    // promise's release, so the waking future observes them).
+    std::vector<Outcome> outcomes =
+        evaluate(cache, requests, options.n_threads,
+                 {trace(), &h_evaluate, &h_serialize});
     c_batches.add(1);
     c_batched_requests.add(indices.size());
     for (std::size_t i = 0; i < indices.size(); ++i) {
-      if (failed[i]) {
-        c_errors.add(1);
-      } else {
+      // Count before publishing: a client woken by set_value must see its
+      // own request in the stats (the relaxed add is sequenced before the
+      // promise's release, so the waking future observes it).
+      const Outcome& outcome = outcomes[i];
+      std::string frame;
+      if (outcome.error_code.empty()) {
         c_responses.add(1);
+        frame = encode_frame(FrameType::FlowResponse, outcome.result_json);
+      } else {
+        c_errors.add(1);
+        frame = encode_error(outcome.error_code, outcome.error_message);
       }
-    }
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      batch[indices[i]].promise.set_value(std::move(frames[i]));
+      batch[indices[i]].promise.set_value(std::move(frame));
     }
   }
 
   void process_batch(std::vector<Pending>& batch) {
     // Group by session so each warm (library, process) pair is evaluated
     // as one coalesced batch.
-    std::map<std::string, std::vector<std::size_t>> groups;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      groups[session_key(batch[i].request).canonical()].push_back(i);
-    }
-    for (const auto& [canonical, indices] : groups) {
+    std::vector<const FlowRequest*> requests;
+    requests.reserve(batch.size());
+    for (const Pending& pending : batch) requests.push_back(&pending.request);
+    for (const auto& indices : group_by_session(requests)) {
       evaluate_group(batch, indices);
     }
   }

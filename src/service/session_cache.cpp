@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <utility>
 
 #include "celllib/generator.h"
+#include "exec/thread_pool.h"
 #include "netlist/design_generator.h"
 #include "scenario/engine.h"
 #include "util/contracts.h"
+#include "yield/flow.h"
 #include "yield/wmin_solver.h"
 
 namespace cny::service {
@@ -23,6 +26,13 @@ celllib::Library make_library(const std::string& name) {
   if (name == "commercial65") return celllib::make_commercial65_like();
   CNY_EXPECT_MSG(name == "nangate45", "unknown library '" + name + "'");
   return celllib::make_nangate45_like();
+}
+
+std::uint64_t us_since(std::chrono::steady_clock::time_point t0) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
 }
 
 device::FailureModel make_model(const ProcessSpec& spec) {
@@ -76,12 +86,7 @@ Session::Session(SessionKey key, std::size_t interpolant_knots,
   const auto t0 = std::chrono::steady_clock::now();
   model_.enable_interpolation(bracket.w_lo, bracket.w_hi, interpolant_knots,
                               n_threads);
-  if (build_histogram != nullptr) {
-    build_histogram->observe(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-  }
+  if (build_histogram != nullptr) build_histogram->observe(us_since(t0));
 }
 
 std::shared_ptr<const netlist::Design> Session::design(
@@ -148,12 +153,7 @@ std::shared_ptr<const Session> SessionCache::acquire(const SessionKey& key) {
   const auto t0 = std::chrono::steady_clock::now();
   auto session = std::make_shared<const Session>(
       key, interpolant_knots_, n_threads_, trace_, build_histogram_);
-  if (warm_histogram_ != nullptr) {
-    warm_histogram_->observe(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-  }
+  if (warm_histogram_ != nullptr) warm_histogram_->observe(us_since(t0));
   if (built_counter_ != nullptr) built_counter_->add(1);
   obs::LogEvent(log_, obs::LogLevel::Info, "session.built")
       .str("session", canonical)
@@ -180,6 +180,92 @@ std::size_t SessionCache::size() const {
 std::uint64_t SessionCache::sessions_built() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return built_;
+}
+
+std::vector<std::vector<std::size_t>> group_by_session(
+    std::span<const FlowRequest* const> requests) {
+  std::map<std::string, std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    groups[session_key(*requests[i]).canonical()].push_back(i);
+  }
+  std::vector<std::vector<std::size_t>> out;
+  out.reserve(groups.size());
+  for (auto& [canonical, indices] : groups) out.push_back(std::move(indices));
+  return out;
+}
+
+std::vector<Outcome> evaluate(SessionCache& cache,
+                              std::span<const FlowRequest* const> requests,
+                              unsigned n_threads, const EvaluateHooks& hooks) {
+  CNY_EXPECT(!requests.empty());
+  std::vector<Outcome> outcomes(requests.size());
+  std::shared_ptr<const Session> session;
+  try {
+    session = cache.acquire(session_key(*requests.front()));
+  } catch (const std::exception& e) {
+    for (Outcome& outcome : outcomes) {
+      outcome = {"", "internal_error", e.what()};
+    }
+    return outcomes;
+  }
+  // Shared design handles pin every request's design for the whole group,
+  // across the session's own design-cache eviction.
+  std::vector<std::shared_ptr<const netlist::Design>> designs(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    try {
+      designs[i] = session->design(requests[i]->design_instances);
+    } catch (const std::exception& e) {
+      outcomes[i] = {"", "internal_error", e.what()};
+    }
+  }
+  // Request-indexed slots and per-request determinism: scheduling cannot
+  // change any outcome. Every request reads the session's one warm table,
+  // so an outcome is also invariant under how requests were grouped.
+  exec::parallel_for(requests.size(), n_threads, [&](std::size_t i) {
+    if (designs[i] == nullptr) return;
+    const FlowRequest& request = *requests[i];
+    yield::FlowParams params = request.params;
+    params.n_threads = n_threads;
+    try {
+      yield::FlowResult result;
+      {
+        obs::Span span(hooks.trace, "evaluate", "server");
+        if (!request.trace_id.empty()) span.arg("trace_id", request.trace_id);
+        const auto t0 = std::chrono::steady_clock::now();
+        result = yield::run_flow(session->library(), *designs[i],
+                                 session->model(), params);
+        if (hooks.evaluate_us != nullptr) {
+          hooks.evaluate_us->observe(us_since(t0));
+        }
+      }
+      obs::Span span(hooks.trace, "serialize", "server");
+      if (!request.trace_id.empty()) span.arg("trace_id", request.trace_id);
+      const auto s0 = std::chrono::steady_clock::now();
+      outcomes[i].result_json = to_json(result).dump();
+      if (hooks.serialize_us != nullptr) {
+        hooks.serialize_us->observe(us_since(s0));
+      }
+    } catch (const std::exception& e) {
+      outcomes[i] = {"", "evaluation_failed", e.what()};
+    }
+  });
+  return outcomes;
+}
+
+std::vector<Outcome> evaluate_grouped(
+    SessionCache& cache, std::span<const FlowRequest* const> requests,
+    unsigned n_threads) {
+  std::vector<Outcome> outcomes(requests.size());
+  for (const auto& indices : group_by_session(requests)) {
+    std::vector<const FlowRequest*> group;
+    group.reserve(indices.size());
+    for (const std::size_t i : indices) group.push_back(requests[i]);
+    std::vector<Outcome> results = evaluate(cache, group, n_threads);
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      outcomes[indices[k]] = std::move(results[k]);
+    }
+  }
+  return outcomes;
 }
 
 }  // namespace cny::service

@@ -14,10 +14,15 @@
 // Sessions are handed out as shared_ptr<const Session>: eviction (LRU past
 // `capacity`) never invalidates a session a coalesced batch is still
 // evaluating against.
+//
+// evaluate() is the one evaluation core: the server and the direct
+// campaign runner both hand it one session group at a time, so a response
+// is the same bytes whichever of them asked.
 #pragma once
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -129,5 +134,43 @@ class SessionCache {
   std::vector<std::shared_ptr<const Session>> sessions_;
   std::uint64_t built_ = 0;
 };
+
+/// One request's outcome: the canonical FlowResult JSON, or a typed error
+/// (`error_code` is empty on success).
+struct Outcome {
+  std::string result_json;
+  std::string error_code;
+  std::string error_message;
+};
+
+/// Measurement hooks for evaluate(); any may be null. They time each
+/// request's "evaluate" and "serialize" spans (tagged with its trace_id)
+/// and never change an outcome.
+struct EvaluateHooks {
+  obs::TraceSink* trace = nullptr;
+  obs::Histogram* evaluate_us = nullptr;
+  obs::Histogram* serialize_us = nullptr;
+};
+
+/// Indices of `requests` grouped by session key, groups in canonical-key
+/// order (deterministic), indices ascending within a group.
+[[nodiscard]] std::vector<std::vector<std::size_t>> group_by_session(
+    std::span<const FlowRequest* const> requests);
+
+/// Evaluates one non-empty session group (requests sharing a session key)
+/// on its warm session, run_flow per request on `n_threads` threads (the
+/// requests' own n_threads is overridden; results are invariant under it).
+/// Outcomes come back in request order. Failures stay per request: a
+/// failed session acquire or design build is "internal_error", a throwing
+/// evaluation "evaluation_failed", and the rest of the group still runs.
+[[nodiscard]] std::vector<Outcome> evaluate(
+    SessionCache& cache, std::span<const FlowRequest* const> requests,
+    unsigned n_threads, const EvaluateHooks& hooks = {});
+
+/// Every request, group by group (group_by_session order) through
+/// evaluate(); outcomes come back in request order.
+[[nodiscard]] std::vector<Outcome> evaluate_grouped(
+    SessionCache& cache, std::span<const FlowRequest* const> requests,
+    unsigned n_threads);
 
 }  // namespace cny::service

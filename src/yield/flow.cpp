@@ -4,8 +4,6 @@
 #include <cmath>
 #include <exception>
 #include <functional>
-#include <map>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -163,9 +161,9 @@ FlowResult run_flow(const celllib::Library& lib,
                                 orig_model.process());
 
   // RemovalFrontier derivation: rebuild at the earned corner only when the
-  // caller's model is elsewhere — the service's session cache (and the
-  // batch path's corner groups) already hand over warm models at the
-  // derived corner, which pass through untouched.
+  // caller's model is elsewhere — the service's session cache already
+  // hands over warm models at the derived corner, which pass through
+  // untouched.
   std::optional<device::FailureModel> corner_model;
   const device::FailureModel* corner_ptr = &orig_model;
   if (!engine.matches(orig_model.process())) {
@@ -176,8 +174,8 @@ FlowResult run_flow(const celllib::Library& lib,
   // Opt-in bracket-scoped interpolant (ROADMAP "solver hot path"): every
   // p_F query any strategy's solver makes lives inside the W bracket, so
   // one table amortises them all. Installed on a local copy unless the
-  // caller's model already covers the bracket (e.g. run_flow_batch's
-  // shared table), so the caller's exactness is never altered.
+  // caller's model already covers the bracket (e.g. a warm session's
+  // table), so the caller's exactness is never altered.
   const WminRequest bracket;
   std::optional<device::FailureModel> interp_model;
   const device::FailureModel* eval_model = corner_ptr;
@@ -323,59 +321,6 @@ FlowResult run_flow(const celllib::Library& lib,
     if (stage->error) std::rethrow_exception(stage->error);
   }
   return out;
-}
-
-std::vector<FlowResult> run_flow_batch(const celllib::Library& lib,
-                                       const std::vector<FlowJob>& jobs,
-                                       const device::FailureModel& model,
-                                       const BatchParams& batch) {
-  for (const auto& job : jobs) {
-    CNY_EXPECT(job.design != nullptr);
-    // Fail on the named parameter before corner derivation can trip over
-    // it (p_rs_at on a NaN target would throw a message naming nothing).
-    validate(job.params);
-  }
-  // One warm model (with its bracket interpolant) per distinct *derived*
-  // process corner, installed on batch-local copies so the caller's model
-  // keeps answering exactly after the batch returns. Scenario sweeps batch
-  // like param sweeps: every job whose RemovalFrontier (or its absence)
-  // lands on the same corner shares that corner's table; the caller's own
-  // corner is seeded from a copy, so its memo cache still counts.
-  std::vector<const device::FailureModel*> job_models(jobs.size(), &model);
-  std::vector<std::unique_ptr<device::FailureModel>> corner_models;
-  if (batch.share_interpolant) {
-    const WminRequest bracket;
-    std::map<std::pair<double, double>, std::size_t> corners;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const auto corner = scenario::derived_process(
-          model.process(), jobs[i].params.scenario);
-      const auto key = std::make_pair(corner.p_metallic, corner.p_remove_s);
-      const auto [it, inserted] = corners.try_emplace(key,
-                                                      corner_models.size());
-      if (inserted) {
-        auto warmed =
-            key == std::make_pair(model.process().p_metallic,
-                                  model.process().p_remove_s)
-                ? std::make_unique<device::FailureModel>(model)
-                : std::make_unique<device::FailureModel>(model.pitch(),
-                                                         corner);
-        warmed->enable_interpolation(bracket.w_lo, bracket.w_hi,
-                                     batch.interpolant_knots,
-                                     batch.n_threads);
-        corner_models.push_back(std::move(warmed));
-      }
-      job_models[i] = corner_models[it->second].get();
-    }
-  }
-
-  // Jobs land in job-indexed slots and each job is a deterministic function
-  // of its own (design, params), so scheduling cannot change any result.
-  std::vector<FlowResult> results(jobs.size());
-  exec::parallel_for(jobs.size(), batch.n_threads, [&](std::size_t i) {
-    results[i] = run_flow(lib, *jobs[i].design, *job_models[i],
-                          jobs[i].params);
-  });
-  return results;
 }
 
 }  // namespace cny::yield

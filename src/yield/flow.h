@@ -58,8 +58,8 @@ struct FlowParams {
   /// queries up front and repays them across every solver bracket step of
   /// every strategy; W_min shifts only by the interpolation error
   /// (~1e-4 nm with the default knot count). Defaults to off: exactness is
-  /// the single-design default, batching is where the table is shared
-  /// (run_flow_batch / BatchParams::share_interpolant).
+  /// the single-design default; the service's warm sessions share one
+  /// such table across requests (service/session_cache.h).
   bool use_interpolant = false;
   std::size_t interpolant_knots = 65;
   /// Failure-mechanism selection (scenario/spec.h): optional ShortFailure /
@@ -110,34 +110,5 @@ struct FlowResult {
                                   const netlist::Design& design,
                                   const device::FailureModel& model,
                                   const FlowParams& params);
-
-/// One unit of batched work: a design plus the parameters to evaluate it
-/// under. Param sweeps are batches whose jobs share a design.
-struct FlowJob {
-  const netlist::Design* design = nullptr;
-  FlowParams params;
-};
-
-struct BatchParams {
-  /// Concurrent jobs; 0 = hardware concurrency. Scheduling only — results
-  /// are always identical to running each job through run_flow alone.
-  unsigned n_threads = 0;
-  /// Build one log-p_F(W) interpolant up front (on a batch-local copy of
-  /// the model — the caller's model is never modified) and let all jobs
-  /// (every strategy of every design) share it, instead of paying the
-  /// count-distribution PGF per fresh width per job. Trades exactness for
-  /// throughput: W_min shifts by the interpolation error (~1e-4 nm with the
-  /// default knot count).
-  bool share_interpolant = true;
-  std::size_t interpolant_knots = 65;
-};
-
-/// Evaluates every job concurrently on the shared thread pool. Results come
-/// back in job order and are deterministic: job i equals
-/// run_flow(lib, *jobs[i].design, model, jobs[i].params) exactly (when
-/// `share_interpolant` is false) or to interpolation accuracy (when true).
-[[nodiscard]] std::vector<FlowResult> run_flow_batch(
-    const celllib::Library& lib, const std::vector<FlowJob>& jobs,
-    const device::FailureModel& model, const BatchParams& batch = {});
 
 }  // namespace cny::yield

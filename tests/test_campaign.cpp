@@ -105,6 +105,20 @@ TEST(CampaignSweep, RejectedGrammarTable) {
   for (const char* expr : kRejected) {
     EXPECT_THROW(expand_sweep(expr), std::invalid_argument) << expr;
   }
+  // A 100 KB sweep is echoed as a 64-byte excerpt plus its length.
+  std::string huge;
+  for (int i = 0; i < 50000; ++i) huge += "1,";
+  huge += "abc";
+  try {
+    (void)expand_sweep(huge);
+    FAIL() << "garbage token must throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("(100003 bytes)': 'abc' is not a number"),
+              std::string::npos)
+        << what;
+    EXPECT_LT(what.size(), 512u);
+  }
 }
 
 TEST(CampaignSweep, RangeStepsByIndexNotAccumulation) {
@@ -190,8 +204,11 @@ TEST(CampaignExpr, RejectsPathologicalNestingWithATypedError) {
       (void)Expr::parse(text);
       FAIL() << "nesting of " << text.size() << " chars must throw";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("nested deeper than"),
-                std::string::npos);
+      // The message keeps the position and the reason but echoes only an
+      // excerpt of the 100 KB input.
+      const std::string what = e.what();
+      EXPECT_NE(what.find("nested deeper than 256 levels"), std::string::npos);
+      EXPECT_LT(what.size(), 512u) << what.substr(0, 600);
     }
   }
   // The same through a campaign spec, as `campaign --spec=F --dry-run`

@@ -1,6 +1,6 @@
 // Tests for the execution subsystem: the thread pool, the deterministic
 // parallel MC reduction, the ported MC kernels, the thread-safe p_F cache,
-// and the batched flow entry point.
+// and concurrent flows sharing one model.
 //
 // The determinism contract under test (see exec/parallel_mc.h):
 //   * results depend on the RNG stream count, never on the thread count;
@@ -24,6 +24,7 @@
 #include "yield/empty_window.h"
 #include "yield/flow.h"
 #include "yield/monte_carlo.h"
+#include "yield/wmin_solver.h"
 
 namespace {
 
@@ -406,25 +407,27 @@ TEST(FlowParallel, ThreadCountInvariantEndToEnd) {
   }
 }
 
+// Concurrent flows on one shared exact model (its memo fills under them)
+// answer exactly what each flow answers alone on a fresh model.
 TEST(FlowBatch, MatchesIndividualRunsExactlyWithoutInterpolant) {
   const auto design = netlist::make_openrisc_like(flow_library());
   const device::FailureModel model(cnt::PitchModel(4.0, 0.9),
                                    cnt::fig21_worst());
-  std::vector<yield::FlowJob> jobs(2);
-  jobs[0].design = &design;
-  jobs[0].params.mc_samples = 500;
-  jobs[0].params.yield_desired = 0.85;
-  jobs[1].design = &design;
-  jobs[1].params.mc_samples = 500;
-  jobs[1].params.yield_desired = 0.95;
+  std::vector<yield::FlowParams> params(2);
+  params[0].mc_samples = 500;
+  params[0].yield_desired = 0.85;
+  params[1].mc_samples = 500;
+  params[1].yield_desired = 0.95;
 
-  yield::BatchParams batch;
-  batch.share_interpolant = false;
-  const auto results = yield::run_flow_batch(flow_library(), jobs, model, batch);
-  ASSERT_EQ(results.size(), 2u);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
+  std::vector<yield::FlowResult> results(params.size());
+  exec::parallel_for(params.size(), 2, [&](std::size_t j) {
+    results[j] = yield::run_flow(flow_library(), design, model, params[j]);
+  });
+  for (std::size_t j = 0; j < params.size(); ++j) {
+    const device::FailureModel fresh(cnt::PitchModel(4.0, 0.9),
+                                     cnt::fig21_worst());
     const auto solo =
-        yield::run_flow(flow_library(), *jobs[j].design, model, jobs[j].params);
+        yield::run_flow(flow_library(), design, fresh, params[j]);
     for (std::size_t i = 0; i < solo.strategies.size(); ++i) {
       EXPECT_EQ(results[j].strategies[i].w_min, solo.strategies[i].w_min);
       EXPECT_EQ(results[j].strategies[i].relaxation,
@@ -433,26 +436,28 @@ TEST(FlowBatch, MatchesIndividualRunsExactlyWithoutInterpolant) {
   }
 }
 
+// Concurrent flows reading one warm bracket table (the way a service
+// session shares it) agree with each other exactly, and with the exact
+// path to interpolation accuracy.
 TEST(FlowBatch, SharedInterpolantStaysWithinTolerance) {
   const auto design = netlist::make_openrisc_like(flow_library());
-  const device::FailureModel model(cnt::PitchModel(4.0, 0.9),
-                                   cnt::fig21_worst());
-  yield::FlowJob job;
-  job.design = &design;
-  job.params.mc_samples = 500;
+  const device::FailureModel warm(cnt::PitchModel(4.0, 0.9),
+                                  cnt::fig21_worst());
+  const yield::WminRequest bracket;
+  warm.enable_interpolation(bracket.w_lo, bracket.w_hi);
+  yield::FlowParams params;
+  params.mc_samples = 500;
 
-  yield::BatchParams batch;  // share_interpolant = true
-  const auto batched =
-      yield::run_flow_batch(flow_library(), {job, job}, model, batch);
+  std::vector<yield::FlowResult> shared(2);
+  exec::parallel_for(shared.size(), 2, [&](std::size_t j) {
+    shared[j] = yield::run_flow(flow_library(), design, warm, params);
+  });
   const device::FailureModel clean(cnt::PitchModel(4.0, 0.9),
                                    cnt::fig21_worst());
-  const auto solo = yield::run_flow(flow_library(), design, clean, job.params);
-  ASSERT_EQ(batched.size(), 2u);
+  const auto solo = yield::run_flow(flow_library(), design, clean, params);
   for (std::size_t i = 0; i < solo.strategies.size(); ++i) {
-    // Identical jobs must agree with each other exactly...
-    EXPECT_EQ(batched[0].strategies[i].w_min, batched[1].strategies[i].w_min);
-    // ...and with the exact path to interpolation accuracy.
-    EXPECT_NEAR(batched[0].strategies[i].w_min / solo.strategies[i].w_min,
+    EXPECT_EQ(shared[0].strategies[i].w_min, shared[1].strategies[i].w_min);
+    EXPECT_NEAR(shared[0].strategies[i].w_min / solo.strategies[i].w_min,
                 1.0, 1e-3);
   }
 }

@@ -8,9 +8,9 @@
 //   * combined-mode monotonicity (shorts raise W_min, length variability
 //     shrinks the aligned credit) and the paper's "p_Rm > 99.99 %" remark
 //     at the 10^8-transistor design point;
-//   * RemovalFrontier earns its corner from the probit frontier, batches
-//     share one warm model per derived corner, and batched scenario jobs
-//     equal their solo run_flow twins bit for bit;
+//   * RemovalFrontier earns its corner from the probit frontier, session
+//     groups share one warm model per derived corner, and grouped scenario
+//     requests equal their solo run_flow twins bit for bit;
 //   * run_flow's concurrent stage graph answers (and fails) identically at
 //     any thread count, whichever stage the aligned solves run in;
 //   * the registry resolves names and the shared validator rejects bad
@@ -27,6 +27,7 @@
 #include "netlist/design_generator.h"
 #include "scenario/engine.h"
 #include "service/protocol.h"
+#include "service/session_cache.h"
 #include "util/contracts.h"
 #include "yield/flow.h"
 
@@ -130,22 +131,6 @@ TEST(ScenarioEngine, EmptySpecStaysWithinBoundOfPreScenarioBrentValues) {
     EXPECT_NEAR(r.power_penalty, kBrent[i].power_penalty,
                 1e-9 * kBrent[i].power_penalty)
         << i;
-  }
-}
-
-TEST(ScenarioEngine, EmptySpecBatchMatchesSoloBitExactly) {
-  const auto model = paper_model();
-  yield::FlowJob job;
-  job.design = &design();
-  job.params = small_params();
-  yield::BatchParams batch;
-  batch.n_threads = 1;
-  batch.share_interpolant = false;
-  const auto results = yield::run_flow_batch(library(), {job}, model, batch);
-  ASSERT_EQ(results.size(), 1u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    expect_strategy_bits_equal(results[0].strategies[i],
-                               base_result().strategies[i]);
   }
 }
 
@@ -264,39 +249,32 @@ TEST(ScenarioEngine, RemovalFrontierEarnsItsCorner) {
 // --- batching ---------------------------------------------------------------
 
 TEST(ScenarioEngine, BatchSharesOneModelPerDerivedCornerAndMatchesSolo) {
-  const auto model = paper_model();
   const scenario::RemovalFrontier removal{5.0, 0.999};
 
-  std::vector<yield::FlowJob> jobs(3);
-  for (auto& job : jobs) {
-    job.design = &design();
-    job.params = small_params();
-  }
-  jobs[1].params.scenario.removal = removal;
-  jobs[2].params.scenario.removal = removal;  // same derived corner as [1]
+  std::vector<service::FlowRequest> requests(3);
+  for (auto& request : requests) request.params = small_params();
+  requests[1].params.scenario.removal = removal;
+  requests[2].params.scenario.removal = removal;  // same derived corner as [1]
+  std::vector<const service::FlowRequest*> pointers;
+  for (const auto& request : requests) pointers.push_back(&request);
 
-  yield::BatchParams batch;
-  batch.n_threads = 1;
-  batch.share_interpolant = true;
-  const auto results = yield::run_flow_batch(library(), jobs, model, batch);
-  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(service::group_by_session(pointers).size(), 2u);
+  service::SessionCache cache(4, 65, 1);
+  const auto outcomes = service::evaluate_grouped(cache, pointers, 1);
+  EXPECT_EQ(cache.sessions_built(), 2u);
 
-  // Identical jobs on the shared corner model are identical outputs.
-  for (std::size_t i = 0; i < 4; ++i) {
-    expect_strategy_bits_equal(results[1].strategies[i],
-                               results[2].strategies[i]);
-  }
+  // Identical requests on the shared corner model are identical outputs.
+  EXPECT_EQ(outcomes[1].result_json, outcomes[2].result_json);
 
-  // Each batched job equals its solo run_flow twin with the same
-  // interpolant policy (same bracket, same knots -> same table).
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    auto params = jobs[j].params;
+  // Each request equals its solo run_flow twin with the same interpolant
+  // policy (same bracket, same knots -> same table).
+  const auto model = paper_model();
+  for (std::size_t j = 0; j < requests.size(); ++j) {
+    ASSERT_TRUE(outcomes[j].error_code.empty()) << outcomes[j].error_message;
+    auto params = requests[j].params;
     params.use_interpolant = true;
     const auto solo = yield::run_flow(library(), design(), model, params);
-    for (std::size_t i = 0; i < 4; ++i) {
-      expect_strategy_bits_equal(results[j].strategies[i],
-                                 solo.strategies[i]);
-    }
+    EXPECT_EQ(outcomes[j].result_json, service::to_json(solo).dump());
   }
 }
 

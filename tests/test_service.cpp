@@ -417,7 +417,7 @@ TEST(ServiceServer, SoloAndCoalescedBurstResponsesAreByteIdentical) {
     EXPECT_EQ(stats_counter(server, "batched_requests"), 8u);
     EXPECT_LT(stats_counter(server, "batches"),
               stats_counter(server, "batched_requests"))
-        << "burst should have coalesced into fewer run_flow_batch calls";
+        << "burst should have coalesced into fewer session groups";
     server.stop();
   }
 
@@ -529,6 +529,38 @@ TEST(ServiceServer, InfeasibleScenarioFailsAloneInABurst) {
   EXPECT_EQ(error.code, "evaluation_failed");
   EXPECT_NE(error.message.find("short mode"), std::string::npos);
   server.stop();
+}
+
+// The evaluation core itself: a good, an infeasible and a good request in
+// one group come back in request order, only the infeasible one failed,
+// and each good result is the canonical JSON of run_flow on a model warmed
+// the way the session warms it.
+TEST(ServiceEvaluate, GroupOutcomesKeepOrderAndFailOnlyTheInfeasible) {
+  FlowRequest bad = small_request(6, 0.9);
+  bad.params.scenario.shorts = cny::scenario::ShortFailure{0.999, 0.01};
+  const std::vector<FlowRequest> requests = {small_request(5, 0.9), bad,
+                                             small_request(7, 0.92)};
+  const std::vector<const FlowRequest*> group = {&requests[0], &requests[1],
+                                                 &requests[2]};
+  service::SessionCache cache(1, kTestKnots, 1);
+  const auto outcomes = service::evaluate(cache, group, 2);
+  ASSERT_EQ(outcomes.size(), 3u);
+  EXPECT_EQ(outcomes[1].error_code, "evaluation_failed");
+  EXPECT_NE(outcomes[1].error_message.find("short mode"), std::string::npos);
+  EXPECT_TRUE(outcomes[1].result_json.empty());
+
+  const auto model = reference_model();
+  const auto lib = celllib::make_nangate45_like();
+  const auto design = netlist::make_openrisc_like(lib);
+  for (const std::size_t i : {0u, 2u}) {
+    EXPECT_TRUE(outcomes[i].error_code.empty()) << outcomes[i].error_message;
+    auto params = requests[i].params;
+    params.n_threads = 1;
+    EXPECT_EQ(outcomes[i].result_json,
+              service::to_json(yield::run_flow(lib, design, model, params))
+                  .dump())
+        << "request " << i;
+  }
 }
 
 // The session cache keys on the derived corner: a RemovalFrontier scenario

@@ -4,7 +4,7 @@ regression report.
 
 Usage:
   tools/bench_compare.py BEFORE.json AFTER.json [--threshold=0.10]
-  tools/bench_compare.py bench/baselines/before bench/baselines/after
+  tools/bench_compare.py BEFORE_DIR AFTER_DIR
   tools/bench_compare.py baseline.json fresh.json --fail-above 300
   tools/bench_compare.py --stamp RUN.json [RUN2.json ...]
 

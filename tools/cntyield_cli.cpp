@@ -7,8 +7,6 @@
 //   cntyield_cli flow    [--lib=FILE] [--design=FILE] [--yield=0.90]
 //                        [--mc-samples=20000] [--streams=16] [--seed=1]
 //                        [--scenario=shorts,length,removal + mechanism flags]
-//   cntyield_cli batch   [--yields=0.80,0.90,0.95] [--no-interp]
-//                        (yield-target sweep through run_flow_batch)
 //   cntyield_cli scenarios [--points=6] [--selectivity=4.24]
 //                        [--prm-lo=0.99] [--prm-hi=0.9999999] [--with-shorts]
 //                        [--via-service] (removal-frontier sweep end-to-end;
@@ -63,9 +61,9 @@
 // [--chaos-max=0] injects wire faults into the loopback server; transient
 // outcomes are retried and never reach the store.
 //
-// `flow` and `batch` honour --threads=N (0 = hardware concurrency, the
-// default); thread count only changes wall-clock, never the numbers (those
-// depend on --seed and --streams only). The table/scaling subcommands keep
+// `flow` honours --threads=N (0 = hardware concurrency, the default);
+// thread count only changes wall-clock, never the numbers (those depend on
+// --seed and --streams only). The table/scaling subcommands keep
 // their serial legacy MC loops unchanged.
 // --trace=FILE (any subcommand) writes a Chrome-trace-event JSONL of
 // observability spans — server stages, session warms, client retry
@@ -87,7 +85,7 @@
 // `request` is its TCP client. Unknown subcommands or flags exit 2 with
 // usage — a typo never silently runs with defaults.
 //
-// Scenario flags (flow / batch / request / scenarios; see scenario/spec.h):
+// Scenario flags (flow / request / scenarios; see scenario/spec.h):
 //   --scenario=shorts,length,removal   enable mechanisms (defaults apply)
 //   --prm=P --noise-fails=P            ShortFailure parameters
 //   --length-mean-um=200 --length-cv=0 --length-devices=16   FiniteLength
@@ -279,59 +277,6 @@ int cmd_flow(const util::Cli& cli) {
       static_cast<long long>(ms),
       params.n_threads == 0 ? exec::hardware_threads() : params.n_threads,
       params.mc_streams, static_cast<unsigned long long>(params.seed));
-  return 0;
-}
-
-int cmd_batch(const util::Cli& cli) {
-  const auto lib = resolve_library(cli);
-  const auto design = resolve_design(cli, lib);
-  const auto model = resolve_model(cli);
-  const auto base = resolve_flow_params(cli);
-
-  std::vector<double> yields;
-  for (const auto& tok : util::split(cli.get("yields", "0.80,0.90,0.95"), ',')) {
-    if (!tok.empty()) yields.push_back(util::parse_double(tok));
-  }
-  if (yields.empty()) {
-    std::fprintf(stderr, "error: --yields parsed to an empty sweep\n");
-    return 2;
-  }
-
-  std::vector<yield::FlowJob> jobs;
-  for (double y : yields) {
-    yield::FlowJob job;
-    job.design = &design;
-    job.params = base;
-    job.params.yield_desired = y;
-    jobs.push_back(job);
-  }
-  yield::BatchParams batch;
-  batch.n_threads = resolve_threads(cli);
-  batch.share_interpolant = !cli.has("no-interp");
-
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto results = yield::run_flow_batch(lib, jobs, model, batch);
-  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-
-  util::Table t("Yield-target sweep (aligned-active, 1 row)");
-  t.header({"yield target", "W_min (nm)", "power penalty", "library area"});
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i].get(yield::Strategy::AlignedOneRow);
-    // Named lvalue sidesteps GCC 12's -Wrestrict false positive on
-    // operator+(const char*, std::string&&) (GCC bug 105329).
-    const std::string area = util::format_pct(r.area_penalty);
-    t.begin_row()
-        .num(yields[i], 3)
-        .num(r.w_min, 4)
-        .cell(util::format_pct(r.power_penalty))
-        .cell("+" + area);
-  }
-  std::cout << t.to_text();
-  std::printf("%zu designs x 4 strategies in %lld ms (%s p_F interpolant)\n",
-              results.size(), static_cast<long long>(ms),
-              batch.share_interpolant ? "shared" : "no shared");
   return 0;
 }
 
@@ -968,7 +913,7 @@ int print_version() {
 
 int usage() {
   std::puts(
-      "usage: cntyield_cli <pf|wmin|flow|batch|scenarios|campaign|scaling|"
+      "usage: cntyield_cli <pf|wmin|flow|scenarios|campaign|scaling|"
       "table1|table2|align|gen-lib|gen-design|serve|request|stats|top> "
       "[flags]\n"
       "       cntyield_cli --version\n"
@@ -979,8 +924,8 @@ int usage() {
       "  top: the same snapshot as live tables (--interval-ms=1000, "
       "--count=N for a bounded run)\n"
       "  serve: --metrics-port=N serves GET /metrics (OpenMetrics)\n"
-      "  flow/batch/serve: --threads=N (0 = hardware concurrency)\n"
-      "  flow/batch/request: --scenario=shorts,length,removal (+ mechanism "
+      "  flow/serve: --threads=N (0 = hardware concurrency)\n"
+      "  flow/request: --scenario=shorts,length,removal (+ mechanism "
       "flags)\n"
       "  scenarios: removal-frontier sweep end-to-end (--with-shorts, "
       "--via-service)\n"
@@ -1004,11 +949,6 @@ const std::map<std::string, std::vector<std::string>> kCommandFlags = {
       "threads", "pm", "prs", "cv", "pitch-mean", "scenario", "prm",
       "noise-fails", "length-mean-um", "length-cv", "length-devices",
       "selectivity", "prm-target"}},
-    {"batch",
-     {"lib", "design", "yields", "yield", "no-interp", "chip-m", "mc-samples",
-      "streams", "seed", "threads", "pm", "prs", "cv", "pitch-mean",
-      "scenario", "prm", "noise-fails", "length-mean-um", "length-cv",
-      "length-devices", "selectivity", "prm-target"}},
     {"scenarios",
      {"points", "selectivity", "prm-lo", "prm-hi", "with-shorts",
       "via-service", "library", "instances", "yield", "chip-m", "mc-samples",
@@ -1116,7 +1056,6 @@ int main(int argc, char** argv) {
     if (cmd == "pf") return cmd_pf(cli);
     if (cmd == "wmin") return cmd_wmin(cli);
     if (cmd == "flow") return cmd_flow(cli);
-    if (cmd == "batch") return cmd_batch(cli);
     if (cmd == "scenarios") return cmd_scenarios(cli);
     if (cmd == "campaign") return cmd_campaign(cli);
     if (cmd == "align") return cmd_align(cli);
