@@ -18,9 +18,17 @@ namespace {
 
 using service::FlowRequest;
 using service::Json;
+using util::excerpt;
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::invalid_argument(what);
+}
+
+/// "a, b, c": the known-names list an error message echoes.
+std::string join(const std::vector<std::string>& names) {
+  std::string out;
+  for (const std::string& n : names) out += (out.empty() ? "" : ", ") + n;
+  return out;
 }
 
 /// Integral field guard: a derived expression landing on 2.5 seeds must
@@ -159,12 +167,8 @@ const ParamEntry* find_param(std::string_view path) {
 const ParamEntry& require_param(std::string_view path) {
   const ParamEntry* entry = find_param(path);
   if (entry == nullptr) {
-    std::string known;
-    for (const std::string& p : param_paths()) {
-      known += known.empty() ? p : ", " + p;
-    }
-    fail("unknown parameter path '" + std::string(path) +
-         "' (known paths: " + known + ")");
+    fail("unknown parameter path '" + excerpt(path) +
+         "' (known paths: " + join(param_paths()) + ")");
   }
   return *entry;
 }
@@ -333,13 +337,13 @@ std::vector<CompiledPoint> compile(const CampaignSpec& spec) {
     const std::string name =
         axis.name.empty() ? default_name(axis.param) : axis.name;
     if (!name_index.emplace(name, axis_names.size()).second) {
-      fail("axis name '" + name +
+      fail("axis name '" + excerpt(name) +
            "' is not unique — give one axis an explicit \"name\"");
     }
     try {
       axis_values.push_back(expand_sweep(axis.values));
     } catch (const std::exception& e) {
-      fail("axis '" + name + "': " + e.what());
+      fail("axis '" + excerpt(name) + "': " + e.what());
     }
     axis_names.push_back(name);
   }
@@ -353,13 +357,13 @@ std::vector<CompiledPoint> compile(const CampaignSpec& spec) {
     const std::string name = d.name.empty() ? default_name(d.param) : d.name;
     if (name_index.count(name) > 0 ||
         std::count(derived_names.begin(), derived_names.end(), name) > 0) {
-      fail("derived parameter name '" + name +
+      fail("derived parameter name '" + excerpt(name) +
            "' collides with an axis or another derived parameter");
     }
     try {
       derived_exprs.push_back(Expr::parse(d.expr));
     } catch (const std::exception& e) {
-      fail("derived parameter '" + name + "': " + e.what());
+      fail("derived parameter '" + excerpt(name) + "': " + e.what());
     }
     derived_names.push_back(name);
   }
@@ -371,16 +375,11 @@ std::vector<CompiledPoint> compile(const CampaignSpec& spec) {
       const auto it =
           std::find(derived_names.begin(), derived_names.end(), ref);
       if (it == derived_names.end()) {
-        std::string known;
-        for (const std::string& n : axis_names) {
-          known += known.empty() ? n : ", " + n;
-        }
-        for (const std::string& n : derived_names) {
-          known += known.empty() ? n : ", " + n;
-        }
-        fail("derived parameter '" + derived_names[i] +
-             "' references unknown name '$" + ref +
-             "' (known names: " + known + ")");
+        // Both lists are non-empty: axis_names[0] and derived_names[i].
+        fail("derived parameter '" + excerpt(derived_names[i]) +
+             "' references unknown name '$" + excerpt(ref) +
+             "' (known names: " +
+             excerpt(join(axis_names) + ", " + join(derived_names)) + ")");
       }
       deps[i].push_back(
           static_cast<std::size_t>(it - derived_names.begin()));
@@ -400,7 +399,7 @@ std::vector<CompiledPoint> compile(const CampaignSpec& spec) {
            j < stack.size(); ++j) {
         path += derived_names[stack[j]] + " -> ";
       }
-      fail("derived parameter cycle: " + path + derived_names[i]);
+      fail("derived parameter cycle: " + excerpt(path + derived_names[i]));
     }
     state[i] = 1;
     stack.push_back(i);
@@ -437,7 +436,7 @@ std::vector<CompiledPoint> compile(const CampaignSpec& spec) {
     const auto describe = [&] {
       std::string what;
       for (std::size_t a = 0; a < axis_names.size(); ++a) {
-        what += (a == 0 ? "" : ", ") + axis_names[a] + "=" +
+        what += (a == 0 ? "" : ", ") + excerpt(axis_names[a]) + "=" +
                 fmt(point.axis_values[a]);
       }
       return what;
@@ -454,7 +453,8 @@ std::vector<CompiledPoint> compile(const CampaignSpec& spec) {
             [&](const std::string& name) { return values.at(name); });
       } catch (const std::exception& e) {
         fail("point #" + std::to_string(index) + " (" + describe() +
-             "): derived parameter '" + derived_names[d] + "': " + e.what());
+             "): derived parameter '" + excerpt(derived_names[d]) +
+             "': " + e.what());
       }
       values[derived_names[d]] = value;
       try {

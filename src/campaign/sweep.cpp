@@ -12,15 +12,7 @@ namespace cny::campaign {
 
 namespace {
 
-/// User text as an error message echoes it: at most the first 64 bytes,
-/// then "…" and the total length, so a message stays small however large
-/// the input.
-std::string excerpt(std::string_view text) {
-  constexpr std::size_t kMaxEcho = 64;
-  if (text.size() <= kMaxEcho) return std::string(text);
-  return std::string(text.substr(0, kMaxEcho)) + "… (" +
-         std::to_string(text.size()) + " bytes)";
-}
+using util::excerpt;
 
 [[noreturn]] void fail(std::string_view expr, const std::string& what) {
   throw std::invalid_argument("sweep '" + excerpt(expr) + "': " + what);

@@ -170,18 +170,18 @@ void FailureModel::enable_interpolation(double w_lo, double w_hi,
                                        static_cast<double>(knots - 1));
   }
   xs.back() = w_hi;  // guard against pow() rounding shrinking the range
-  // All knots go through the batched kernel: lane-packed chunks share the
-  // per-term Γ-ratio/table work across four widths at a time, and the
-  // chunks shard across threads. Chunks of two packets keep every thread's
-  // unit of work wide enough to pack full lanes.
-  constexpr std::size_t kChunk = 8;
-  const std::size_t n_chunks = (knots + kChunk - 1) / kChunk;
-  exec::parallel_for(n_chunks, n_threads, [&](std::size_t c) {
-    const std::size_t lo = c * kChunk;
-    const std::size_t len = std::min(kChunk, knots - lo);
+  // All knots go through the batched kernel in 4-knot packets, one AVX2
+  // register of widths each. Cost grows steeply with W, so the packets are
+  // cut down from the top knot and claimed widest first (LPT list
+  // scheduling, Graham 1969); a short packet can only be the cheapest one.
+  constexpr std::size_t kPacket = 4;
+  const std::size_t n_packets = (knots + kPacket - 1) / kPacket;
+  exec::parallel_for(n_packets, n_threads, [&](std::size_t p) {
+    const std::size_t hi = knots - p * kPacket;
+    const std::size_t lo = hi > kPacket ? hi - kPacket : 0;
     const auto vals =
-        p_f_exact_batch(std::span<const double>(xs).subspan(lo, len));
-    for (std::size_t j = 0; j < len; ++j) ys[lo + j] = std::log(vals[j]);
+        p_f_exact_batch(std::span<const double>(xs).subspan(lo, hi - lo));
+    for (std::size_t j = lo; j < hi; ++j) ys[j] = std::log(vals[j - lo]);
   });
   auto built = std::make_shared<const LogPfInterp>(
       LogPfInterp{w_lo, w_hi, numeric::MonotoneCubic(std::move(xs), std::move(ys))});

@@ -72,11 +72,6 @@ void Json::set(std::string key, Json v) {
   members_.emplace_back(std::move(key), std::move(v));
 }
 
-bool Json::as_bool() const {
-  if (type_ != Type::Bool) fail("not a boolean");
-  return bool_;
-}
-
 double Json::as_double() const {
   if (type_ != Type::Number) fail("not a number");
   // from_chars, not strtod: the wire format must not bend to the host
@@ -164,16 +159,21 @@ void dump_string(const std::string& s, std::string& out) {
 
 std::string Json::dump() const {
   std::string out;
+  dump_to(out);
+  return out;
+}
+
+void Json::dump_to(std::string& out) const {
   switch (type_) {
-    case Type::Null: out = "null"; break;
-    case Type::Bool: out = bool_ ? "true" : "false"; break;
-    case Type::Number: out = scalar_; break;
+    case Type::Null: out += "null"; break;
+    case Type::Bool: out += bool_ ? "true" : "false"; break;
+    case Type::Number: out += scalar_; break;
     case Type::String: dump_string(scalar_, out); break;
     case Type::Array: {
       out += '[';
       for (std::size_t i = 0; i < items_.size(); ++i) {
         if (i > 0) out += ',';
-        out += items_[i].dump();
+        items_[i].dump_to(out);
       }
       out += ']';
       break;
@@ -184,13 +184,12 @@ std::string Json::dump() const {
         if (i > 0) out += ',';
         dump_string(members_[i].first, out);
         out += ':';
-        out += members_[i].second.dump();
+        members_[i].second.dump_to(out);
       }
       out += '}';
       break;
     }
   }
-  return out;
 }
 
 class JsonParser {
@@ -315,16 +314,17 @@ class JsonParser {
     expect('"');
     std::string out;
     while (true) {
+      const std::size_t run = pos_;  // plain bytes, copied in one go
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+        ++pos_;
+      }
+      out.append(text_, run, pos_ - run);
       const char c = peek();
       ++pos_;
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("unescaped control character in string");
       const char e = peek();
       ++pos_;
       switch (e) {

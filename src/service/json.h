@@ -44,7 +44,6 @@ class Json {
   [[nodiscard]] static Json object();
 
   [[nodiscard]] Type type() const { return type_; }
-  [[nodiscard]] bool is_null() const { return type_ == Type::Null; }
 
   /// Array append.
   void push_back(Json v);
@@ -53,7 +52,6 @@ class Json {
 
   // Accessors throw JsonError on a type mismatch so protocol decoding can
   // report "field x has the wrong type" instead of reading garbage.
-  [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_double() const;
   /// Integer tokens only (no sign, fraction or exponent) — used for seeds
   /// and counts, where silent rounding through a double would corrupt.
@@ -78,6 +76,8 @@ class Json {
 
  private:
   friend class JsonParser;  ///< stores number tokens and members directly
+
+  void dump_to(std::string& out) const;  ///< dump(), one buffer for all
 
   Type type_ = Type::Null;
   bool bool_ = false;

@@ -76,6 +76,13 @@ std::string format_pct(double fraction) {
   return buf;
 }
 
+std::string excerpt(std::string_view text) {
+  constexpr std::size_t kMaxEcho = 64;
+  if (text.size() <= kMaxEcho) return std::string(text);
+  return std::string(text.substr(0, kMaxEcho)) + "… (" +
+         std::to_string(text.size()) + " bytes)";
+}
+
 double parse_double(std::string_view s) {
   s = trim(s);
   CNY_EXPECT_MSG(!s.empty(), "empty string is not a number");

@@ -32,6 +32,11 @@ namespace cny::util {
 /// Formats `v` as a percentage with one decimal, e.g. "12.5%".
 [[nodiscard]] std::string format_pct(double fraction);
 
+/// User text as an error message echoes it: at most the first 64 bytes,
+/// then "…" and the total length, so a message stays small however large
+/// the input.
+[[nodiscard]] std::string excerpt(std::string_view text);
+
 /// Parses a double, throwing cny::ContractViolation on garbage.
 [[nodiscard]] double parse_double(std::string_view s);
 

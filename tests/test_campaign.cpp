@@ -362,6 +362,40 @@ TEST(CampaignSpec, DerivedParametersResolveInDependencyOrder) {
   EXPECT_EQ(points[0].request.params.yield_desired, (0.8 + 0.1) / 2.0);
 }
 
+TEST(CampaignSpec, EchoesHugeNamesAsBoundedExcerpts) {
+  // Names come from the spec file, so an error echoes at most a 64-byte
+  // excerpt of each (plus its length) and still names the broken rule.
+  const std::string huge(100000, 'n');
+  const auto expect_bounded = [](const CampaignSpec& spec,
+                                 const std::string& rule) {
+    try {
+      (void)campaign::compile(spec);
+      FAIL() << rule << " must throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_LT(what.size(), 512u) << what.substr(0, 600);
+      EXPECT_NE(what.find(rule), std::string::npos) << what.substr(0, 600);
+      EXPECT_NE(what.find(" bytes)"), std::string::npos)
+          << what.substr(0, 600);
+    }
+  };
+  CampaignSpec twice;
+  twice.axes.push_back({huge, "yield", "0.9"});
+  twice.axes.push_back({huge, "seed", "1,2"});
+  expect_bounded(twice, "is not unique");
+
+  CampaignSpec unknown;
+  unknown.axes.push_back({"x", "yield", "0.9"});
+  unknown.derived.push_back({huge, "chip_m", "$nope * 2"});
+  expect_bounded(unknown, "references unknown name '$nope'");
+
+  CampaignSpec cyclic;
+  cyclic.axes.push_back({"x", "yield", "0.9"});
+  cyclic.derived.push_back({huge, "chip_m", "1e8 + $b"});
+  cyclic.derived.push_back({"b", "seed", "$" + huge});
+  expect_bounded(cyclic, "derived parameter cycle");
+}
+
 TEST(CampaignSpec, RejectsCyclesUnknownRefsAndDuplicateNames) {
   CampaignSpec base;
   base.axes.push_back({"x", "yield", "0.9"});

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -169,6 +171,44 @@ TEST(FailureModel, LockLightReadPathSurvivesThreadHammer) {
   EXPECT_FALSE(failed.load());
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(model.p_f_exact(widths[i]), exact_ref[i]);
+  }
+}
+
+TEST(FailureModel, InterpolantTableBitsIndependentOfPackingAndThreads) {
+  // The table is built in 4-knot packets cut down from the top knot and
+  // spread over threads; neither the packing nor the thread count may move
+  // a bit. 5 and 66 knots leave a 1-knot and a 2-knot packet at w_lo. At
+  // an interior knot the cubic returns the knot value itself, so p_f there
+  // is exp(log p_F) of the exact value on a model that never built a table.
+  constexpr double kLo = 4.0, kHi = 400.0;
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const std::size_t knots : {4u, 5u, 33u, 65u, 66u}) {
+    std::vector<double> xs(knots);
+    for (std::size_t i = 0; i < knots; ++i) {
+      xs[i] = kLo * std::pow(kHi / kLo, static_cast<double>(i) /
+                                            static_cast<double>(knots - 1));
+    }
+    xs.back() = kHi;
+    const FailureModel fresh(PitchModel(4.0, 0.9), cny::cnt::fig21_mid());
+    std::vector<double> mid_ref;
+    for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+      const FailureModel model(PitchModel(4.0, 0.9), cny::cnt::fig21_mid());
+      model.enable_interpolation(kLo, kHi, knots, threads);
+      for (std::size_t i = 0; i < knots; ++i) {
+        EXPECT_EQ(bits(model.p_f(xs[i])),
+                  bits(std::exp(std::log(fresh.p_f_exact(xs[i])))))
+            << "knots=" << knots << " threads=" << threads << " i=" << i;
+      }
+      std::vector<double> mids;
+      for (std::size_t i = 0; i + 1 < knots; ++i) {
+        mids.push_back(model.p_f(0.5 * (xs[i] + xs[i + 1])));
+      }
+      if (mid_ref.empty()) mid_ref = mids;
+      for (std::size_t i = 0; i < mids.size(); ++i) {
+        EXPECT_EQ(bits(mids[i]), bits(mid_ref[i]))
+            << "knots=" << knots << " threads=" << threads << " mid " << i;
+      }
+    }
   }
 }
 

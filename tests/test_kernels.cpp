@@ -249,4 +249,32 @@ TEST(Kernels, LaneOccupancyCountersBalanceOnEveryBackend) {
   }
 }
 
+// The 65-knot session table's kernel work is a pure function of the knot
+// count: 16 four-knot packets cut down from the top knot plus one lone
+// knot at w_lo, one batch call each, at every thread count. With AVX2 the
+// 64 packed knots all ride lanes and only the cheapest knot (4 nm) runs
+// scalar; a scalar backend books all 65 knots scalar.
+TEST(Kernels, InterpolantBuildWorkCountIsPinned) {
+  auto& registry = cny::obs::Registry::global();
+  const auto value = [&registry](const char* name) {
+    return registry.counter(name).value();
+  };
+  for (const unsigned threads : {1u, 4u}) {
+    const std::uint64_t calls0 = value("kernels.pf_batch_calls");
+    const std::uint64_t lanes0 = value("kernels.pf_simd_lanes");
+    const std::uint64_t scalar0 = value("kernels.pf_scalar_widths");
+    const cny::device::FailureModel model(PitchModel(4.0, 0.9),
+                                          cny::cnt::fig21_mid());
+    model.enable_interpolation(4.0, 400.0, 65, threads);
+    EXPECT_EQ(value("kernels.pf_batch_calls") - calls0, 17u) << threads;
+    const bool lanes = cny::kernels::simd_supported();
+    EXPECT_EQ(value("kernels.pf_simd_lanes") - lanes0, lanes ? 64u : 0u)
+        << "threads=" << threads
+        << " backend=" << cny::kernels::backend_name();
+    EXPECT_EQ(value("kernels.pf_scalar_widths") - scalar0, lanes ? 1u : 65u)
+        << "threads=" << threads
+        << " backend=" << cny::kernels::backend_name();
+  }
+}
+
 }  // namespace

@@ -87,6 +87,34 @@ TEST(ServiceJson, RejectsGarbage) {
   EXPECT_THROW(Json::parse("{\"a\":1,\"a\":2}"), service::JsonError);
 }
 
+TEST(ServiceJson, StringsAndNestedContainersRoundTripByteStable) {
+  // Plain runs between escapes, a control byte and a trailing run.
+  const std::string raw = "ab\"c\\d\x01" "e\nf\x1f" "gh\t";
+  const std::string dumped = Json::string(raw).dump();
+  EXPECT_EQ(dumped, "\"ab\\\"c\\\\d\\u0001e\\nf\\u001fgh\\t\"");
+  EXPECT_EQ(Json::parse(dumped).as_string(), raw);
+  EXPECT_EQ(Json::parse("\"x\\/y\\u00e9z\"").as_string(), "x/y\xc3\xa9z");
+  EXPECT_THROW(Json::parse("\"a\x01\""), service::JsonError);
+  EXPECT_THROW(Json::parse("\"abc"), service::JsonError);
+  // Containers closing at every depth keep their own members, in order.
+  const std::string nested =
+      "{\"a\":[1,{\"b\":[],\"c\":{}},[2,[3,{\"d\":[4]}]]],\"e\":\"x\","
+      "\"f\":{\"g\":{\"h\":[5,6]},\"i\":7}}";
+  EXPECT_EQ(Json::parse(nested).dump(), nested);
+  EXPECT_EQ(Json::parse(" [ { \"k\" : [ ] } , 0 ] ").dump(), "[{\"k\":[]},0]");
+  // A repeated key is named, the smallest first, in small and large objects.
+  for (const int pad : {0, 20}) {
+    std::string text = "{\"b\":1,\"a\":1,\"b\":2,\"a\":2";
+    for (int i = 0; i < pad; ++i) text += ",\"p" + std::to_string(i) + "\":0";
+    try {
+      (void)Json::parse(text + "}");
+      ADD_FAILURE() << "duplicate key accepted";
+    } catch (const service::JsonError& e) {
+      EXPECT_STREQ(e.what(), "duplicate key 'a'");
+    }
+  }
+}
+
 TEST(ServiceJson, MaxSizeObjectParsesWellUnderASecond) {
   // 80k keys in ~870 KB, under the frame cap. A duplicate-key scan per
   // member made this frame cost 11.7 s.
