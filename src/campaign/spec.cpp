@@ -433,11 +433,18 @@ std::vector<CompiledPoint> compile(const CampaignSpec& spec) {
       point.axis_values[a] = values[rem % values.size()];
       rem /= values.size();
     }
+    // Names the point by its first few axes; a spec may have thousands.
     const auto describe = [&] {
+      constexpr std::size_t kAxesEchoed = 3;
+      const std::size_t shown = std::min(axis_names.size(), kAxesEchoed);
       std::string what;
-      for (std::size_t a = 0; a < axis_names.size(); ++a) {
+      for (std::size_t a = 0; a < shown; ++a) {
         what += (a == 0 ? "" : ", ") + excerpt(axis_names[a]) + "=" +
                 fmt(point.axis_values[a]);
+      }
+      if (shown < axis_names.size()) {
+        what += ", … (+" + std::to_string(axis_names.size() - shown) +
+                " more)";
       }
       return what;
     };

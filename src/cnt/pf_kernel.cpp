@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <optional>
-#include <type_traits>
 #include <vector>
 
 #include "cnt/pf_kernel_internal.h"
 #include "exec/thread_pool.h"
+#include "kernels/dispatch.h"
 #include "numeric/integrate.h"
 #include "numeric/special.h"
 #include "obs/metrics.h"
@@ -28,11 +29,10 @@ namespace {
 /// Used on the x < a+1 side like the textbook split — there q = 1 − τ·sum
 /// stays ≥ ~0.27, so the subtraction costs no relative precision. Returns
 /// the series sum; the caller forms q.
-inline double p_series_sum(double x, double eps,
-                           const std::vector<double>& inv_shape) {
+inline double p_series_sum(double x, double eps, const double* inv_shape,
+                           std::size_t len) {
   double del = 1.0;
   double sum = 1.0;
-  const std::size_t len = inv_shape.size();
   for (std::size_t i = 1; i < len; ++i) {
     del *= x * inv_shape[i];
     sum += del;
@@ -43,7 +43,9 @@ inline double p_series_sum(double x, double eps,
 
 /// Nodes per shard of a term's node loop when it runs on several threads:
 /// ~20 shards on the widths the solvers query (2–3k nodes), so uneven
-/// series lengths still balance across threads.
+/// series lengths still balance across threads. A multiple of the AVX2
+/// pass's 8-node block, so only a grid's last shard can end in a part
+/// block.
 constexpr std::size_t kShardNodes = 128;
 
 }  // namespace
@@ -128,7 +130,7 @@ PfGrid pf_setup(const PitchModel& pitch, double width) {
   CNY_ENSURE_MSG(std::fabs(grid.total - 1.0) < 1e-6,
                  "count PMF mass deviates from 1: quadrature failure");
 
-  // Shape-stepping machinery (see pf_terms_scalar for how it is consumed).
+  // Shape-stepping machinery (see pf_terms for how it is consumed).
   // Past x ≈ 650 the e^{-x} seed risks flushing to zero before the ladder
   // climbs out of the denormals, so wider windows fall back to plain
   // per-node gamma_q (still node-major + truncated).
@@ -156,13 +158,63 @@ PfGrid pf_setup(const PitchModel& pitch, double width) {
   return grid;
 }
 
-PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol,
-                               exec::Fork* fork) {
+void pf_nodes_scalar(const PfNodes& nodes, const PfTermStep& step,
+                     std::size_t begin, std::size_t end) {
+  const double* xs = nodes.x;
+  double* tau = nodes.tau;
+  double* d = nodes.d;
+  if (step.ladder_steps > 0) {
+    for (std::size_t j = begin; j < end; ++j) {
+      const double x = xs[j];
+      double t = tau[j];
+      double dq = 0.0;
+      for (long s = 0; s < step.ladder_steps; ++s) {
+        dq += t;
+        t *= x / (step.shape + static_cast<double>(s) + 1.0);
+      }
+      tau[j] = t;
+      d[j] = dq;
+    }
+    return;
+  }
+  double* q_prev = nodes.q_prev;
+  for (std::size_t j = begin; j < end; ++j) {
+    const double x = xs[j];
+    double q_hi;
+    if (step.prefactored) {
+      tau[j] *= nodes.xk[j] * step.rho;
+      // x < a+1 runs the table-backed series; past the split,
+      // gamma_q_prefactored takes its continued-fraction branch.
+      q_hi = x < step.a_hi + 1.0
+                 ? 1.0 - tau[j] * p_series_sum(x, step.eps, step.inv,
+                                               step.inv_len)
+                 : numeric::gamma_q_prefactored(step.a_hi, x, tau[j],
+                                                step.eps);
+    } else {
+      q_hi = gamma_q(step.a_hi, x);
+    }
+    const double diff = q_hi - q_prev[j];
+    q_prev[j] = q_hi;
+    d[j] = diff > 0.0 ? diff : 0.0;
+  }
+}
+
+PfNodePass pf_node_pass(const PfGrid& grid) {
+#if defined(CNY_SIMD)
+  if (grid.prefactored && kernels::simd_supported()) {
+    return &kernels::detail::pf_nodes_avx2;
+  }
+#else
+  (void)grid;
+#endif
+  return &pf_nodes_scalar;
+}
+
+PfKernelResult pf_terms(const PfGrid& grid, double z, double rel_tol,
+                        PfNodePass pass, exec::Fork* fork) {
   const std::size_t n_nodes = grid.xs.size();
-  const std::vector<double>& xs = grid.xs;
   const std::vector<double>& fw = grid.fw;
   const double k = grid.k;
-  const long k_int = grid.k_int;
   const long n_stop = grid.n_stop;
   const double mass_tail = grid.mass_tail;
 
@@ -175,43 +227,28 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol,
   //    with no cancellation at all.
   //  * non-integer k — τ is stepped a → a+k in one multiply per node
   //    (τ ← τ · x^k · Γ(a+1)/Γ(a+k+1), the Γ-ratio shared across nodes)
-  //    and seeds gamma_q_prefactored, which skips the per-call
-  //    exp/log/lgamma prefactor and runs its series/continued fraction at
-  //    a tolerance matched to the term's certified contribution budget.
-  std::vector<double> q_prev(n_nodes, 0.0);  // Q((n-1)k, x): Q(0,·) := 0
-  std::vector<double> tau = grid.tau0;       // empty on the gamma_q path
+  //    and seeds the series or gamma_q_prefactored's continued fraction,
+  //    which skip the per-call exp/log/lgamma prefactor and run at a
+  //    tolerance matched to the term's certified contribution budget.
+  std::vector<double> q_prev(grid.ladder ? 0 : n_nodes, 0.0);  // Q(0,·) := 0
+  std::vector<double> tau = grid.tau0;  // empty on the gamma_q path
   std::vector<double> inv_shape(grid.inv_len);
-
-  // With a fork, each term's node updates run sharded, their increments
-  // land in `node_d`, and one thread sums them in node order: the same
-  // bits as the fused loop.
-  std::vector<double> node_d(fork != nullptr ? n_nodes : 0);
-  // Σ_j fw[j]·d_j in node order, d_j = update(j) being node j's increment
-  // for this term; `positive_only` (std::true_type) keeps only d_j > 0.
-  const auto term_sum = [&](auto positive_only, const auto& update) {
-    double term = 0.0;
-    if (fork == nullptr) {
-      for (std::size_t j = 0; j < n_nodes; ++j) {
-        const double d = update(j);
-        if (!positive_only || d > 0.0) term += fw[j] * d;
-      }
-      return term;
-    }
-    fork->run((n_nodes + kShardNodes - 1) / kShardNodes, [&](std::size_t s) {
-      const std::size_t end = std::min(n_nodes, (s + 1) * kShardNodes);
-      for (std::size_t j = s * kShardNodes; j < end; ++j) node_d[j] = update(j);
-    });
-    for (std::size_t j = 0; j < n_nodes; ++j) {
-      const double d = node_d[j];
-      if (!positive_only || d > 0.0) term += fw[j] * d;
-    }
-    return term;
+  std::vector<double> node_d(n_nodes);
+  const PfNodes nodes{grid.xs.data(), grid.xk.data(), tau.data(),
+                      q_prev.data(), node_d.data()};
+  PfTermStep step;
+  step.ladder_steps = grid.ladder ? grid.k_int : 0;
+  step.prefactored = grid.prefactored;
+  step.inv = inv_shape.data();
+  step.inv_len = inv_shape.size();
+  const std::function<void(std::size_t)> shard = [&](std::size_t s) {
+    pass(nodes, step, s * kShardNodes,
+         std::min(n_nodes, (s + 1) * kShardNodes));
   };
 
   double acc = grid.p0;   // Σ_{m<n} pₘ z^m, raw quadrature values
   double cum_mass = 0.0;  // Σ_{1≤m<n} pₘ
   double zn = 1.0;        // z^(n-1)
-  double shape = 0.0;     // ladder shape counter (n-1)·k
   double lg_prev = 0.0;   // lnΓ((n-1)·k + 1)
   long terms = 0;
   double rem_bound = 0.0;
@@ -224,59 +261,36 @@ PfKernelResult pf_terms_scalar(const PfGrid& grid, double z, double rel_tol,
     rem_bound = zn * std::max(0.0, mass_tail - cum_mass);
     if (rem_bound <= rel_tol * acc) break;
 
-    double term = 0.0;
-    if (grid.ladder) {
-      term = term_sum(std::false_type{}, [&](std::size_t j) {
-        const double x = xs[j];
-        double t = tau[j];
-        double dq = 0.0;
-        for (long s = 0; s < k_int; ++s) {
-          dq += t;
-          t *= x / (shape + static_cast<double>(s) + 1.0);
-        }
-        tau[j] = t;
-        return dq;
-      });
-      shape += static_cast<double>(k_int);
-    } else {
-      const double a_hi = static_cast<double>(n) * k;
+    if (!grid.ladder) {
+      step.a_hi = static_cast<double>(n) * k;
       if (grid.prefactored) {
         // The iteration tolerance may relax as the term's certified
         // contribution budget z^n·tail shrinks relative to the
         // accumulated sum; an eps error on term n moves the result by
         // ≤ eps · rem_bound. Clamped: the floor is the fp resolution,
         // the cap keeps relaxed terms honest.
-        double eps = acc > 0.0 ? rel_tol * acc / rem_bound : 1e-15;
-        eps = std::clamp(eps, 1e-15, 1e-6);
-        const double lg_cur = numeric::log_gamma(a_hi + 1.0);
-        const double rho = std::exp(lg_prev - lg_cur);
+        const double eps = acc > 0.0 ? rel_tol * acc / rem_bound : 1e-15;
+        step.eps = std::clamp(eps, 1e-15, 1e-6);
+        const double lg_cur = numeric::log_gamma(step.a_hi + 1.0);
+        step.rho = std::exp(lg_prev - lg_cur);
         lg_prev = lg_cur;
         // This term's series denominators, shared by every node.
         for (std::size_t i = 1; i < inv_shape.size(); ++i) {
-          inv_shape[i] = 1.0 / (a_hi + static_cast<double>(i));
+          inv_shape[i] = 1.0 / (step.a_hi + static_cast<double>(i));
         }
-        term = term_sum(std::true_type{}, [&](std::size_t j) {
-          tau[j] *= grid.xk[j] * rho;
-          const double x = xs[j];
-          // x < a+1 runs the table-backed series; past the split,
-          // gamma_q_prefactored takes its continued-fraction branch.
-          const double q_hi =
-              x < a_hi + 1.0
-                  ? 1.0 - tau[j] * p_series_sum(x, eps, inv_shape)
-                  : numeric::gamma_q_prefactored(a_hi, x, tau[j], eps);
-          const double diff = q_hi - q_prev[j];
-          q_prev[j] = q_hi;
-          return diff;
-        });
-      } else {
-        term = term_sum(std::true_type{}, [&](std::size_t j) {
-          const double q_hi = gamma_q(a_hi, xs[j]);
-          const double diff = q_hi - q_prev[j];
-          q_prev[j] = q_hi;
-          return diff;
-        });
       }
     }
+    if (fork != nullptr) {
+      fork->run((n_nodes + kShardNodes - 1) / kShardNodes, shard);
+    } else {
+      pass(nodes, step, 0, n_nodes);
+    }
+    // In node order. A masked increment is +0.0, which cannot move this
+    // sum of non-negative products.
+    double term = 0.0;
+    for (std::size_t j = 0; j < n_nodes; ++j) term += fw[j] * node_d[j];
+    if (grid.ladder) step.shape += static_cast<double>(grid.k_int);
+
     term = std::max(0.0, term);
     cum_mass += term;
     acc += term * zn;
@@ -310,7 +324,8 @@ PfKernelResult pf_truncated(const PitchModel& pitch, double width, double z,
   if ((n_threads == 0 ? exec::hardware_threads() : n_threads) > 1) {
     fork.emplace(n_threads);
   }
-  return detail::pf_terms_scalar(grid, z, rel_tol, fork ? &*fork : nullptr);
+  return detail::pf_terms(grid, z, rel_tol, detail::pf_node_pass(grid),
+                          fork ? &*fork : nullptr);
 }
 
 }  // namespace cny::cnt

@@ -29,11 +29,13 @@
 //     f_e, Q(nk,·) and Q((n−1)k,·) at every node of every term).
 //
 //     Each node's update within a term is independent of every other
-//     node's, so with a thread budget > 1 the node loop is sharded: fixed
-//     node ranges run on one exec::Fork per query, each writing its
-//     nodes' increments, and one thread then sums them in node order. The
-//     truncation logic stays serial between terms, so every result bit is
-//     the same at every budget.
+//     node's. Where the CPU has AVX2 the update runs four adjacent nodes
+//     per register (kernels/pf_nodes_avx2.cpp, an op-for-op replay of the
+//     scalar update), and with a thread budget > 1 the node loop is also
+//     sharded: fixed node ranges run on one exec::Fork per query. Either
+//     way each node's increment lands in its own slot and one thread sums
+//     them in node order; the truncation logic stays serial between
+//     terms, so every result bit is the same on every backend and budget.
 #pragma once
 
 #include "cnt/pitch_model.h"

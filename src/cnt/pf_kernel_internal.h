@@ -1,16 +1,18 @@
-// Internals of the truncated-PGF kernel, shared between the scalar
-// reference path (pf_kernel.cpp) and the batched kernel backends
-// (src/kernels/). The split exists for one reason: bit-identity. The
-// batched backends must replay *exactly* the floating-point op sequence of
-// `pf_truncated` per width, so the width-dependent setup (quadrature grid,
-// truncation point, normalising mass, ladder seeds) is built once here —
-// by the same code, compiled in the same baseline-ISA translation unit —
-// and only the term loop is re-implemented lane-parallel. Anything that
-// changes a value in this header changes `pf_truncated` itself, and the
-// bit-identity tests in tests/test_kernels.cpp will say so.
+// Internals of the truncated-PGF kernel, shared between the term loop
+// (pf_kernel.cpp), its AVX2 node pass (src/kernels/pf_nodes_avx2.cpp) and
+// the batch entry point (src/kernels/pf_batch.cpp). The split exists for
+// one reason: bit-identity. The width-dependent setup (quadrature grid,
+// truncation point, normalising mass, ladder seeds) and the term loop
+// (truncation, eps, Γ-ratio, reciprocal table, the ordered node sum) exist
+// once, compiled baseline-ISA; only the per-node update of one term has two
+// implementations — the scalar reference below and the AVX2 block pass,
+// which must replay it operation by operation on four adjacent nodes.
+// Anything that changes a value in this header changes `pf_truncated`
+// itself, and the bit-identity tests in tests/test_pf_kernel.cpp and
+// tests/test_kernels.cpp will say so.
 //
-// Not part of the public API: include only from cnt/pf_kernel.cpp and the
-// kernel backends.
+// Not part of the public API: include only from the kernel sources, their
+// tests and benchmarks.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +39,7 @@ inline constexpr double kLadderMaxX = 650.0;
 /// Everything about one width that does not depend on z or rel_tol: the
 /// node-major quadrature grid, the PMF truncation point, the normalising
 /// mass, and the shape-ladder seeds. Built by `pf_setup`, consumed by the
-/// scalar term loop and (transposed into lanes) by the batched backends.
+/// term loop.
 struct PfGrid {
   double width = 0.0;
   double k = 0.0;      ///< pitch shape
@@ -60,13 +62,67 @@ struct PfGrid {
 /// quadrature mass deviates from 1 (same contract as pf_truncated).
 [[nodiscard]] PfGrid pf_setup(const PitchModel& pitch, double width);
 
-/// The scalar term loop over a prebuilt grid: exactly the op sequence the
-/// original single-width kernel ran after its setup. `pf_truncated` is
-/// pf_setup + pf_terms_scalar. With a `fork`, each term's node updates run
-/// sharded on it and are summed in node order, so the result is
-/// bit-identical either way.
-[[nodiscard]] PfKernelResult pf_terms_scalar(const PfGrid& grid, double z,
-                                             double rel_tol,
-                                             exec::Fork* fork = nullptr);
+/// The per-node columns one term's update reads and writes. `xk` is read
+/// on the non-integer prefactored path only; `tau` on both prefactored
+/// paths; `q_prev` on the non-integer paths.
+struct PfNodes {
+  const double* x = nullptr;
+  const double* xk = nullptr;
+  double* tau = nullptr;
+  double* q_prev = nullptr;
+  double* d = nullptr;  ///< out: node j's increment for this term
+};
+
+/// What every node of one PMF term shares.
+struct PfTermStep {
+  long ladder_steps = 0;     ///< integer shape: k ladder steps; else 0
+  bool prefactored = false;  ///< τ-seeded paths (else per-node gamma_q)
+  double shape = 0.0;        ///< ladder: shape counter (n-1)·k
+  double a_hi = 0.0;         ///< non-integer: this term's shape n·k
+  double rho = 0.0;          ///< Γ((n-1)k+1)/Γ(nk+1), the τ step
+  double eps = 0.0;          ///< series/CF tolerance, in [1e-15, 1e-6]
+  const double* inv = nullptr;  ///< inv[i] = 1/(a_hi+i), i in [1, inv_len)
+  std::size_t inv_len = 0;
+};
+
+/// The scalar reference node update over nodes [begin, end): writes d[j]
+/// = Q(nk,x) − Q((n−1)k,x) where positive (else +0.0) on the non-integer
+/// paths, the ladder's dq on the integer one. What -DCNY_SIMD=OFF runs and
+/// what the AVX2 block pass is tested against.
+void pf_nodes_scalar(const PfNodes& nodes, const PfTermStep& step,
+                     std::size_t begin, std::size_t end);
+
+using PfNodePass = void (*)(const PfNodes&, const PfTermStep&, std::size_t,
+                            std::size_t);
+
+}  // namespace cny::cnt::detail
+
+#if defined(CNY_SIMD)
+namespace cny::kernels::detail {
+/// pf_nodes_scalar on adjacent nodes, four per AVX2 register
+/// (kernels/pf_nodes_avx2.cpp, compiled -mavx2 -mno-fma
+/// -ffp-contract=off): the same writes to nodes [begin, end), bit for
+/// bit. Prefactored paths only (step.prefactored).
+void pf_nodes_avx2(const cnt::detail::PfNodes& nodes,
+                   const cnt::detail::PfTermStep& step, std::size_t begin,
+                   std::size_t end);
+}  // namespace cny::kernels::detail
+#endif
+
+namespace cny::cnt::detail {
+
+/// The node update the term loop runs on this grid: pf_nodes_avx2 when it
+/// is compiled in, the CPU reports AVX2 and the grid is on a prefactored
+/// path; else pf_nodes_scalar. The one dispatch rule.
+[[nodiscard]] PfNodePass pf_node_pass(const PfGrid& grid);
+
+/// The term loop over a prebuilt grid, every node update by `pass`:
+/// pf_node_pass(grid) for the dispatched kernel (`pf_truncated` is
+/// pf_setup + this), &pf_nodes_scalar for the reference. With a `fork`,
+/// each term's node range runs sharded on it; either way the increments
+/// are summed in node order, so the result is bit-identical.
+[[nodiscard]] PfKernelResult pf_terms(const PfGrid& grid, double z,
+                                      double rel_tol, PfNodePass pass,
+                                      exec::Fork* fork = nullptr);
 
 }  // namespace cny::cnt::detail

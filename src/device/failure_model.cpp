@@ -88,7 +88,7 @@ std::vector<double> FailureModel::p_f_exact_batch(
     std::span<const double> widths) const {
   std::vector<double> out(widths.size());
   // Memo probe for the whole batch under one shared lock; the misses are
-  // evaluated in a single batched kernel pass. Batch evaluation is
+  // evaluated in one kernel batch call. Batch evaluation is
   // bit-identical to per-width pf_truncated (the kernels contract), so a
   // width computes to the same bytes whichever call pattern filled the
   // memo first.
@@ -170,18 +170,13 @@ void FailureModel::enable_interpolation(double w_lo, double w_hi,
                                        static_cast<double>(knots - 1));
   }
   xs.back() = w_hi;  // guard against pow() rounding shrinking the range
-  // All knots go through the batched kernel in 4-knot packets, one AVX2
-  // register of widths each. Cost grows steeply with W, so the packets are
-  // cut down from the top knot and claimed widest first (LPT list
-  // scheduling, Graham 1969); a short packet can only be the cheapest one.
-  constexpr std::size_t kPacket = 4;
-  const std::size_t n_packets = (knots + kPacket - 1) / kPacket;
-  exec::parallel_for(n_packets, n_threads, [&](std::size_t p) {
-    const std::size_t hi = knots - p * kPacket;
-    const std::size_t lo = hi > kPacket ? hi - kPacket : 0;
-    const auto vals =
-        p_f_exact_batch(std::span<const double>(xs).subspan(lo, hi - lo));
-    for (std::size_t j = lo; j < hi; ++j) ys[j] = std::log(vals[j - lo]);
+  // One knot per task, claimed widest first: cost grows steeply with W, so
+  // handing out the expensive knots before the cheap ones balances the
+  // threads (LPT list scheduling, Graham 1969). Each knot's node loop
+  // fills the AVX2 lanes on its own.
+  exec::parallel_for(knots, n_threads, [&](std::size_t p) {
+    const std::size_t i = knots - 1 - p;
+    ys[i] = std::log(p_f_exact_batch({&xs[i], 1})[0]);
   });
   auto built = std::make_shared<const LogPfInterp>(
       LogPfInterp{w_lo, w_hi, numeric::MonotoneCubic(std::move(xs), std::move(ys))});

@@ -61,14 +61,13 @@ class FailureModel {
 
   /// Batched p_f(): one result per width, each bit-identical to the
   /// corresponding scalar p_f(width) call. Interpolant-covered widths read
-  /// the table; the remaining exact evaluations of one call are merged
-  /// into a single batched kernel pass (kernels::pf_truncated_batch) that
-  /// shares per-term setup across widths, then land in the memo as usual.
+  /// the table; the remaining exact evaluations of one call go to one
+  /// kernels::pf_truncated_batch call, then land in the memo as usual.
   [[nodiscard]] std::vector<double> p_f_batch(
       std::span<const double> widths) const;
 
-  /// Batched p_f_exact(): the same merged-kernel evaluation with the
-  /// interpolant bypassed for every width.
+  /// Batched p_f_exact(): the same batch evaluation with the interpolant
+  /// bypassed for every width.
   [[nodiscard]] std::vector<double> p_f_exact_batch(
       std::span<const double> widths) const;
 

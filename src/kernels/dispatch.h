@@ -1,16 +1,19 @@
 // Kernel-backend dispatch seam.
 //
-// The batched p_F kernel (kernels/pf_batch.h) has one scalar reference
-// implementation and, when the tree is built with -DCNY_SIMD=ON, an AVX2
-// term loop. The rule is fixed by the platform, never by the caller: the
-// AVX2 loop runs exactly when it was compiled in AND the CPU reports AVX2
-// (CPUID, probed once per process). A -DCNY_SIMD=OFF build — what non-x86
-// hosts run — never compiles the AVX2 objects.
+// The p_F term loop (cnt/pf_kernel.cpp) updates a term's quadrature nodes
+// with the scalar reference and, when the tree is built with
+// -DCNY_SIMD=ON, an AVX2 block pass over four adjacent nodes
+// (kernels/pf_nodes_avx2.cpp). The rule is fixed by the platform, never by
+// the caller: the AVX2 pass runs exactly when it was compiled in AND the
+// CPU reports AVX2 (CPUID, probed once per process), on every grid with a
+// prefactored path (cnt::detail::pf_node_pass). A -DCNY_SIMD=OFF build —
+// what non-x86 hosts run — never compiles the AVX2 objects.
 //
 // Every backend is bit-identical to the scalar reference (pinned in
-// tests/test_kernels.cpp and, end to end, by a golden run_flow response
-// that both CI builds must reproduce), so the backend is purely a speed
-// matter. See docs/architecture.md, "Kernel backends".
+// tests/test_pf_kernel.cpp and tests/test_kernels.cpp and, end to end, by
+// a golden run_flow response that both CI builds must reproduce), so the
+// backend is purely a speed matter. See docs/architecture.md, "Kernel
+// backends".
 #pragma once
 
 namespace cny::kernels {

@@ -1,12 +1,11 @@
 // Batch-of-widths p_F evaluation.
 //
-// Every heavy consumer of `cnt::pf_truncated` — the interpolant builder,
-// the W_min solver's bracket queries, circuit_yield's merged spectrum —
-// asks for *many widths against one pitch model
-// and one z*. `pf_truncated_batch` evaluates them in one pass: the widths
-// are packed four to an AVX2 register (one lane per width) and the PMF term
-// loop runs lane-parallel, sharing the per-term Γ-ratio, lgamma and
-// reciprocal-table work that the scalar loop re-derives per width.
+// Consumers that ask for many widths against one pitch model and one z —
+// the interpolant builder, merged spectra, the benchmarks — call
+// `pf_truncated_batch`. It runs one single-width query per width, in
+// order, on the calling thread: each query's node loop already fills the
+// AVX2 lanes (four adjacent quadrature nodes per register, see
+// cnt/pf_kernel.h), so there is nothing left to pack across widths.
 //
 // Bit-identity contract (pinned in tests/test_kernels.cpp): for every
 // backend and every batch composition,
@@ -15,11 +14,8 @@
 //     == pf_truncated(pitch, widths[i], z, tol)      (all three fields,
 //                                                     exact bits)
 //
-// so batching — like the backend and the thread count — is purely a
-// speed knob. Lanes run each width's exact scalar op sequence (elementwise
-// IEEE add/mul/div only; transcendentals stay scalar libm), and the kernel
-// translation units are built with contraction disabled so no FMA can
-// merge what the scalar kernel keeps separate.
+// and both equal the scalar reference, so batching — like the backend and
+// the thread count — is purely a speed knob.
 #pragma once
 
 #include <span>
@@ -34,7 +30,7 @@ namespace cny::kernels {
 /// against one pitch model. Result i corresponds to widths[i] and is
 /// bit-identical to cnt::pf_truncated(pitch, widths[i], z, rel_tol).
 /// Backend selection follows dispatch.h; widths on the wide-window
-/// gamma_q fallback path (W/θ >= 650) always take the scalar reference.
+/// gamma_q fallback path (W/θ >= 650) always take the scalar node update.
 [[nodiscard]] std::vector<cnt::PfKernelResult> pf_truncated_batch(
     const cnt::PitchModel& pitch, std::span<const double> widths, double z,
     double rel_tol = 1e-14);

@@ -277,7 +277,7 @@ FlowResult run_flow(const celllib::Library& lib,
   // sees does not depend on scheduling either.
   //
   // Every solve opens on the same start pair. It is evaluated once, in
-  // one batched pass, before the solves fork, so concurrent solves never
+  // one batch call, before the solves fork, so concurrent solves never
   // race to compute the same exact p_F.
   (void)model.p_f_batch(start_pair(bracket.w_lo, bracket.w_hi));
 

@@ -396,6 +396,30 @@ TEST(CampaignSpec, EchoesHugeNamesAsBoundedExcerpts) {
   expect_bounded(cyclic, "derived parameter cycle");
 }
 
+TEST(CampaignSpec, PointErrorsNameAFewAxesNotThousands) {
+  // A failing point is named by its first few axes, so a spec with
+  // thousands of axes still gets a short message naming the point and the
+  // failing rule.
+  CampaignSpec spec;
+  for (int i = 0; i < 10000; ++i) {
+    spec.axes.push_back({"axis" + std::to_string(i), "seed", "1"});
+  }
+  spec.derived.push_back({"broken", "yield", "sqrt(-1)"});
+  try {
+    (void)campaign::compile(spec);
+    FAIL() << "sqrt(-1) must throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_LT(what.size(), 512u) << what.substr(0, 600);
+    EXPECT_NE(what.find("point #0 (axis0=1, axis1=1, axis2=1, … (+9997 more))"),
+              std::string::npos)
+        << what.substr(0, 600);
+    // sqrt(-1) is NaN, which request validation rejects.
+    EXPECT_NE(what.find("yield_desired must be in (0, 1)"), std::string::npos)
+        << what.substr(0, 600);
+  }
+}
+
 TEST(CampaignSpec, RejectsCyclesUnknownRefsAndDuplicateNames) {
   CampaignSpec base;
   base.axes.push_back({"x", "yield", "0.9"});

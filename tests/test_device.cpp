@@ -175,11 +175,11 @@ TEST(FailureModel, LockLightReadPathSurvivesThreadHammer) {
 }
 
 TEST(FailureModel, InterpolantTableBitsIndependentOfPackingAndThreads) {
-  // The table is built in 4-knot packets cut down from the top knot and
-  // spread over threads; neither the packing nor the thread count may move
-  // a bit. 5 and 66 knots leave a 1-knot and a 2-knot packet at w_lo. At
-  // an interior knot the cubic returns the knot value itself, so p_f there
-  // is exp(log p_F) of the exact value on a model that never built a table.
+  // The table is built one knot per task, widest first, spread over
+  // threads; neither the claim order nor the thread count may move a bit.
+  // At an interior knot the cubic returns the knot value itself, so p_f
+  // there is exp(log p_F) of the exact value on a model that never built a
+  // table.
   constexpr double kLo = 4.0, kHi = 400.0;
   const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   for (const std::size_t knots : {4u, 5u, 33u, 65u, 66u}) {

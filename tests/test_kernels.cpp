@@ -14,6 +14,7 @@
 #include "celllib/generator.h"
 #include "cnt/growth.h"
 #include "cnt/pf_kernel.h"
+#include "cnt/pf_kernel_internal.h"
 #include "device/failure_model.h"
 #include "netlist/design_generator.h"
 #include "campaign/spec.h"
@@ -32,37 +33,47 @@
 
 namespace {
 
-using cny::cnt::pf_truncated;
 using cny::cnt::PitchModel;
 using cny::kernels::pf_truncated_batch;
 
 std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-/// Exact-bits comparison of a batch against per-width scalar calls.
+/// The scalar reference for one width: pf_truncated's short-circuits,
+/// then the term loop with every node update on pf_nodes_scalar.
+cny::cnt::PfKernelResult reference(const PitchModel& pitch, double width,
+                                   double z, double rel_tol) {
+  if (width == 0.0 || z == 1.0) return {1.0, 0, 0.0};
+  return cny::cnt::detail::pf_terms(cny::cnt::detail::pf_setup(pitch, width),
+                                    z, rel_tol,
+                                    &cny::cnt::detail::pf_nodes_scalar);
+}
+
+/// Exact-bits comparison of a batch against the per-width scalar
+/// reference.
 void expect_batch_matches_scalar(const PitchModel& pitch,
                                  const std::vector<double>& widths, double z,
                                  double rel_tol) {
   const auto batch = pf_truncated_batch(pitch, widths, z, rel_tol);
   ASSERT_EQ(batch.size(), widths.size());
   for (std::size_t i = 0; i < widths.size(); ++i) {
-    const auto ref = pf_truncated(pitch, widths[i], z, rel_tol);
+    const auto ref = reference(pitch, widths[i], z, rel_tol);
     EXPECT_EQ(bits_of(batch[i].value), bits_of(ref.value))
-        << "value lane " << i << " w=" << widths[i] << " z=" << z
+        << "value width " << i << " w=" << widths[i] << " z=" << z
         << " backend=" << cny::kernels::backend_name();
     EXPECT_EQ(batch[i].terms, ref.terms)
-        << "terms lane " << i << " w=" << widths[i] << " z=" << z;
+        << "terms width " << i << " w=" << widths[i] << " z=" << z;
     EXPECT_EQ(bits_of(batch[i].remainder_bound), bits_of(ref.remainder_bound))
-        << "remainder lane " << i << " w=" << widths[i] << " z=" << z;
+        << "remainder width " << i << " w=" << widths[i] << " z=" << z;
   }
 }
 
-// The width sets exercise every packing shape: full 4-lanes, partial
-// flushes, sub-mean-pitch widths, zero-width specials mid-batch, and a
-// spread wide enough to give lanes very different truncation points.
+// The width sets exercise batch compositions: sizes 1, 2, 4 and 7,
+// sub-mean-pitch widths, zero-width specials mid-batch, and a spread wide
+// enough to give the widths very different truncation points.
 const std::vector<std::vector<double>> kWidthSets = {
-    {20.0, 36.0, 52.0, 68.0},                    // one full packet
-    {8.0, 155.0},                                // 2-lane flush, far apart
-    {33.0},                                      // single width → scalar
+    {20.0, 36.0, 52.0, 68.0},                    // close together
+    {8.0, 155.0},                                // far apart
+    {33.0},                                      // single width
     {1.5, 2.0, 3.9, 40.0, 80.0, 120.0, 500.0},   // sub-pitch + big spread
     {0.0, 25.0, 0.0, 30.0, 35.0, 40.0, 45.0},    // specials interleaved
 };
@@ -87,7 +98,7 @@ TEST(PfBatch, ExtremeTolerancesAndWideWindowFallback) {
                                 rel_tol);
   }
   // width/θ ≥ 650 (θ = 4·0.81 = 3.24 → width ≥ 2106) rides the gamma_q
-  // fallback; batching must still hold bit-identity via the scalar path.
+  // fallback, which runs the scalar node update on every backend.
   expect_batch_matches_scalar(pitch, {2200.0, 30.0, 2500.0, 45.0}, 0.5,
                               1e-12);
 }
@@ -192,7 +203,7 @@ TEST(Kernels, RunFlowResponseMatchesGoldenHashOnEveryBackend) {
   // interpolant build, batched bracket queries, conditional MC — must
   // produce the *same bytes* on the wire whichever backend ran the
   // kernels. The AVX2 build and the -DCNY_SIMD=OFF build must both hash to
-  // this constant. A drift of a few ulp in one lane's p_F can round away
+  // this constant. A drift of a few ulp in one width's p_F can round away
   // before it reaches the response; the per-width test above catches
   // those. A deliberate numerics change re-pins the constant.
   const auto lib = cny::celllib::make_nangate45_like();
@@ -212,9 +223,10 @@ TEST(Kernels, RunFlowResponseMatchesGoldenHashOnEveryBackend) {
       << encoded;
 }
 
-// Lane-occupancy accounting must balance: every non-degenerate width in a
-// batch is counted exactly once, as either a SIMD lane or a scalar width —
-// on *both* backends (the scalar build books everything scalar).
+// Batch accounting must balance: every non-degenerate width in a batch is
+// counted exactly once, as an AVX2-pass width or a scalar width — on
+// *both* backends (the scalar build books everything scalar). These
+// widths are all prefactored, so an AVX2 CPU runs every one on lanes.
 TEST(Kernels, LaneOccupancyCountersBalanceOnEveryBackend) {
   auto& registry = cny::obs::Registry::global();
   const PitchModel pitch(4.0, 0.9);
@@ -244,16 +256,14 @@ TEST(Kernels, LaneOccupancyCountersBalanceOnEveryBackend) {
       registry.counter("kernels.pf_scalar_widths").value() - scalar0;
   EXPECT_EQ(lanes + scalar, widths.size())
       << "backend=" << cny::kernels::backend_name();
-  if (!cny::kernels::simd_compiled()) {
-    EXPECT_EQ(lanes, 0u) << "a scalar-only build must book no SIMD lanes";
-  }
+  EXPECT_EQ(lanes, cny::kernels::simd_supported() ? widths.size() : 0u)
+      << "backend=" << cny::kernels::backend_name();
 }
 
 // The 65-knot session table's kernel work is a pure function of the knot
-// count: 16 four-knot packets cut down from the top knot plus one lone
-// knot at w_lo, one batch call each, at every thread count. With AVX2 the
-// 64 packed knots all ride lanes and only the cheapest knot (4 nm) runs
-// scalar; a scalar backend books all 65 knots scalar.
+// count: one single-knot batch call per knot, widest first, at every
+// thread count. With AVX2 every knot runs the node-lane pass (all are
+// prefactored); a scalar backend books all 65 knots scalar.
 TEST(Kernels, InterpolantBuildWorkCountIsPinned) {
   auto& registry = cny::obs::Registry::global();
   const auto value = [&registry](const char* name) {
@@ -261,17 +271,19 @@ TEST(Kernels, InterpolantBuildWorkCountIsPinned) {
   };
   for (const unsigned threads : {1u, 4u}) {
     const std::uint64_t calls0 = value("kernels.pf_batch_calls");
+    const std::uint64_t widths0 = value("kernels.pf_batch_widths");
     const std::uint64_t lanes0 = value("kernels.pf_simd_lanes");
     const std::uint64_t scalar0 = value("kernels.pf_scalar_widths");
     const cny::device::FailureModel model(PitchModel(4.0, 0.9),
                                           cny::cnt::fig21_mid());
     model.enable_interpolation(4.0, 400.0, 65, threads);
-    EXPECT_EQ(value("kernels.pf_batch_calls") - calls0, 17u) << threads;
+    EXPECT_EQ(value("kernels.pf_batch_calls") - calls0, 65u) << threads;
+    EXPECT_EQ(value("kernels.pf_batch_widths") - widths0, 65u) << threads;
     const bool lanes = cny::kernels::simd_supported();
-    EXPECT_EQ(value("kernels.pf_simd_lanes") - lanes0, lanes ? 64u : 0u)
+    EXPECT_EQ(value("kernels.pf_simd_lanes") - lanes0, lanes ? 65u : 0u)
         << "threads=" << threads
         << " backend=" << cny::kernels::backend_name();
-    EXPECT_EQ(value("kernels.pf_scalar_widths") - scalar0, lanes ? 1u : 65u)
+    EXPECT_EQ(value("kernels.pf_scalar_widths") - scalar0, lanes ? 0u : 65u)
         << "threads=" << threads
         << " backend=" << cny::kernels::backend_name();
   }

@@ -4,10 +4,12 @@
 // its own truncation remainder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "cnt/pf_kernel_internal.h"
 #include "cnt/process.h"
 #include "exec/thread_pool.h"
+#include "kernels/dispatch.h"
 #include "numeric/special.h"
 #include "obs/metrics.h"
 #include "rng/engine.h"
@@ -192,6 +195,30 @@ void expect_bit_identical(const cny::cnt::PfKernelResult& got,
       << want.remainder_bound;
 }
 
+/// The term loop over `grid` with every node update on the scalar
+/// reference.
+cny::cnt::PfKernelResult scalar_terms(const cny::cnt::detail::PfGrid& grid,
+                                      double z, double rel_tol) {
+  return cny::cnt::detail::pf_terms(grid, z, rel_tol,
+                                    &cny::cnt::detail::pf_nodes_scalar);
+}
+
+/// The term loop over `grid` on the dispatched node pass.
+cny::cnt::PfKernelResult dispatched_terms(const cny::cnt::detail::PfGrid& grid,
+                                          double z, double rel_tol,
+                                          cny::exec::Fork* fork = nullptr) {
+  return cny::cnt::detail::pf_terms(
+      grid, z, rel_tol, cny::cnt::detail::pf_node_pass(grid), fork);
+}
+
+/// The scalar reference for one width: pf_truncated's short-circuits,
+/// then the term loop with every node update on pf_nodes_scalar.
+cny::cnt::PfKernelResult reference(const PitchModel& pitch, double width,
+                                   double z, double rel_tol) {
+  if (width == 0.0 || z == 1.0) return {1.0, 0, 0.0};
+  return scalar_terms(cny::cnt::detail::pf_setup(pitch, width), z, rel_tol);
+}
+
 std::uint64_t tasks_posted() {
   return cny::obs::Registry::global().counter("exec.tasks_posted").value();
 }
@@ -219,8 +246,8 @@ TEST(PfKernelSharded, BitIdenticalAtEveryBudgetOnAllThreePaths) {
     ASSERT_EQ(grid.ladder, c.ladder) << "cv=" << c.cv;
     ASSERT_EQ(grid.prefactored, c.prefactored) << "cv=" << c.cv;
     for (const double z : {0.1, 0.531}) {
-      const auto serial = pf_truncated(pitch, c.width, z, 1e-14, 1);
-      for (const unsigned budget : {2u, 3u, 4u, 8u}) {
+      const auto serial = reference(pitch, c.width, z, 1e-14);
+      for (const unsigned budget : {1u, 2u, 3u, 4u, 8u}) {
         const std::uint64_t posted = tasks_posted();
         const auto sharded = pf_truncated(pitch, c.width, z, 1e-14, budget);
         expect_bit_identical(sharded, serial,
@@ -228,7 +255,7 @@ TEST(PfKernelSharded, BitIdenticalAtEveryBudgetOnAllThreePaths) {
                                  " w=" + std::to_string(c.width) +
                                  " z=" + std::to_string(z) +
                                  " budget=" + std::to_string(budget));
-        if (cny::exec::ThreadPool::shared().size() > 1) {
+        if (budget > 1 && cny::exec::ThreadPool::shared().size() > 1) {
           EXPECT_GT(tasks_posted(), posted) << "budget " << budget
                                             << " never forked";
         }
@@ -237,27 +264,196 @@ TEST(PfKernelSharded, BitIdenticalAtEveryBudgetOnAllThreePaths) {
   }
 }
 
+/// The first `nodes` nodes of a real grid: node counts no width produces
+/// (every real grid is whole 32-node panels).
+cny::cnt::detail::PfGrid truncated_grid(const PitchModel& pitch, double width,
+                                        std::size_t nodes) {
+  auto grid = cny::cnt::detail::pf_setup(pitch, width);
+  EXPECT_GT(grid.xs.size(), nodes);
+  grid.xs.resize(nodes);
+  grid.fw.resize(nodes);
+  grid.tau0.resize(nodes);
+  if (!grid.xk.empty()) grid.xk.resize(nodes);
+  return grid;
+}
+
 TEST(PfKernelSharded, GridsWithFewerShardsThanThreadsStayBitIdentical) {
-  // Truncated copies of a real grid: 100 nodes is under one shard (no
-  // fork at all), 300 nodes is three shards against budgets up to 8.
+  // Truncated copies of a real grid: 100 nodes is under one shard, 300
+  // nodes is three shards against budgets up to 8. The dispatched kernel,
+  // forked or not, against the unforked scalar reference.
   const PitchModel pitch(4.0, 0.9);
   const double z = 0.531;
   for (const std::size_t nodes : {std::size_t{100}, std::size_t{300}}) {
-    auto grid = cny::cnt::detail::pf_setup(pitch, 155.0);
-    ASSERT_GT(grid.xs.size(), nodes);
-    grid.xs.resize(nodes);
-    grid.fw.resize(nodes);
-    grid.tau0.resize(nodes);
-    grid.xk.resize(nodes);
-    const auto serial = cny::cnt::detail::pf_terms_scalar(grid, z, 1e-14);
+    const auto grid = truncated_grid(pitch, 155.0, nodes);
+    const auto serial = scalar_terms(grid, z, 1e-14);
     ASSERT_GT(serial.terms, 0);
+    expect_bit_identical(dispatched_terms(grid, z, 1e-14), serial,
+                         "nodes=" + std::to_string(nodes) + " unforked");
     for (const unsigned budget : {2u, 3u, 4u, 8u}) {
       cny::exec::Fork fork(budget);
       expect_bit_identical(
-          cny::cnt::detail::pf_terms_scalar(grid, z, 1e-14, &fork), serial,
+          dispatched_terms(grid, z, 1e-14, &fork), serial,
           "nodes=" + std::to_string(nodes) +
               " budget=" + std::to_string(budget));
     }
+  }
+}
+
+// ------------------------------------------- AVX2 node lanes
+
+/// True when the four adjacent nodes of some AVX2 register straddle a
+/// term's series/CF split x = n·k + 1 in the first `terms` terms.
+bool some_block_straddles_the_split(const cny::cnt::detail::PfGrid& grid,
+                                    long terms) {
+  for (std::size_t j = 0; j + 4 <= grid.xs.size(); j += 4) {
+    const auto [lo, hi] =
+        std::minmax({grid.xs[j], grid.xs[j + 1], grid.xs[j + 2],
+                     grid.xs[j + 3]});
+    for (long n = 1; n <= terms; ++n) {
+      const double split = static_cast<double>(n) * grid.k + 1.0;
+      if (lo < split && split <= hi) return true;
+    }
+  }
+  return false;
+}
+
+/// Runs `pass` on copies of one term's node state over [begin, end).
+struct NodeRun {
+  std::vector<double> tau, q_prev, d;
+};
+NodeRun run_pass(cny::cnt::detail::PfNodePass pass,
+                 const cny::cnt::detail::PfGrid& grid,
+                 const std::vector<double>& q_prev,
+                 const cny::cnt::detail::PfTermStep& step, std::size_t begin,
+                 std::size_t end) {
+  NodeRun r{grid.tau0, q_prev, std::vector<double>(grid.xs.size(), -1.0)};
+  const cny::cnt::detail::PfNodes nodes{grid.xs.data(), grid.xk.data(),
+                                        r.tau.data(), r.q_prev.data(),
+                                        r.d.data()};
+  pass(nodes, step, begin, end);
+  return r;
+}
+
+TEST(PfNodeLanes, BlockPassMatchesScalarNodeUpdate) {
+  // One term's node update in isolation, on states the term loop never
+  // produces: every third node's Q((n-1)k, x) is set to 1, so its diff is
+  // ≤ 0 and only the diff > 0 mask keeps it out of the sum. The term sits
+  // mid-grid, so blocks straddle the series/CF split; the ranges end in
+  // whole blocks and in part blocks of 1–7 nodes. τ, Q and the increment
+  // are compared bit for bit.
+  if (!cny::kernels::simd_supported()) {
+    GTEST_SKIP() << "no AVX2 node pass (backend="
+                 << cny::kernels::backend_name() << ")";
+  }
+  for (const double cv : {0.6, 0.7071067811865476, 0.9, 1.0, 1.2}) {
+    const auto grid = cny::cnt::detail::pf_setup(PitchModel(4.0, cv), 101.0);
+    const auto pass = cny::cnt::detail::pf_node_pass(grid);
+    ASSERT_NE(pass, &cny::cnt::detail::pf_nodes_scalar);
+    std::vector<double> xs = grid.xs;
+    std::nth_element(xs.begin(), xs.begin() + xs.size() / 2, xs.end());
+    const long n = std::max(2L, std::lround((xs[xs.size() / 2] - 1.0) / grid.k));
+    cny::cnt::detail::PfTermStep step;
+    step.ladder_steps = grid.ladder ? grid.k_int : 0;
+    step.prefactored = true;
+    step.shape = static_cast<double>((n - 1) * grid.k_int);
+    step.a_hi = static_cast<double>(n) * grid.k;
+    step.rho = std::exp(cny::numeric::log_gamma(step.a_hi - grid.k + 1.0) -
+                        cny::numeric::log_gamma(step.a_hi + 1.0));
+    std::vector<double> inv(grid.inv_len);
+    for (std::size_t i = 1; i < inv.size(); ++i) {
+      inv[i] = 1.0 / (step.a_hi + static_cast<double>(i));
+    }
+    step.inv = inv.data();
+    step.inv_len = inv.size();
+    std::vector<double> q_prev(grid.xs.size(), 0.0);
+    for (std::size_t j = 0; j < q_prev.size(); j += 3) q_prev[j] = 1.0;
+    for (const double eps : {1e-15, 1e-9, 1e-6}) {
+      step.eps = eps;
+      for (const std::size_t cut : {0, 1, 3, 4, 7}) {
+        const std::size_t end = grid.xs.size() - cut;
+        const auto want = run_pass(&cny::cnt::detail::pf_nodes_scalar, grid,
+                                   q_prev, step, 0, end);
+        const auto got = run_pass(pass, grid, q_prev, step, 0, end);
+        for (std::size_t j = 0; j < grid.xs.size(); ++j) {
+          const std::string where = "cv=" + std::to_string(cv) +
+                                    " eps=" + std::to_string(eps) +
+                                    " end=" + std::to_string(end) +
+                                    " node=" + std::to_string(j);
+          ASSERT_TRUE(same_bits(got.tau[j], want.tau[j])) << where;
+          ASSERT_TRUE(same_bits(got.q_prev[j], want.q_prev[j])) << where;
+          ASSERT_TRUE(same_bits(got.d[j], want.d[j])) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(PfNodeLanes, BitIdenticalToScalarReference) {
+  // The dispatched kernel — the AVX2 block pass over adjacent nodes
+  // wherever the grid is prefactored — against the scalar reference node
+  // update, all three result fields bit for bit. CV 1/√2 and 1.0 are the
+  // ladder shapes (k = 2, 1); 0.6/0.9/1.2 the series/CF split. The widths
+  // are sub-pitch (1.5, 3.9 nm), solver-sized (37, 101 nm) and the
+  // W/θ ≥ 650 gamma_q fallback (2,200 nm at CV 0.9, scalar on both sides).
+  if (!cny::kernels::simd_supported()) {
+    GTEST_SKIP() << "no AVX2 node pass: the dispatched kernel is the "
+                    "reference (backend="
+                 << cny::kernels::backend_name() << ")";
+  }
+  const auto label = [](double cv, double w, double z, double tol,
+                        unsigned threads) {
+    return "cv=" + std::to_string(cv) + " w=" + std::to_string(w) +
+           " z=" + std::to_string(z) + " tol=" + std::to_string(tol) +
+           " threads=" + std::to_string(threads);
+  };
+  for (const double cv : {0.6, 0.7071067811865476, 0.9, 1.0, 1.2}) {
+    const PitchModel pitch(4.0, cv);
+    for (const double w : {1.5, 3.9, 37.0, 101.0}) {
+      for (const double z : {0.0, 0.2, 0.531, 0.9, 1.0}) {
+        for (const double tol : {1e-4, 1e-14, 1e-15}) {
+          const auto want = reference(pitch, w, z, tol);
+          for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+            expect_bit_identical(pf_truncated(pitch, w, z, tol, threads), want,
+                                 label(cv, w, z, tol, threads));
+          }
+        }
+      }
+    }
+    // Node counts that are not a multiple of 4: the part block alone
+    // (3 nodes), after whole shards (130 = 128 + 2, 301 = 2·128 + 45).
+    for (const std::size_t nodes :
+         {std::size_t{3}, std::size_t{130}, std::size_t{301}}) {
+      const auto grid = truncated_grid(pitch, 101.0, nodes);
+      for (const double z : {0.2, 0.531, 0.9}) {
+        const auto want = scalar_terms(grid, z, 1e-14);
+        const std::string where =
+            "cv=" + std::to_string(cv) + " nodes=" + std::to_string(nodes) +
+            " z=" + std::to_string(z);
+        expect_bit_identical(dispatched_terms(grid, z, 1e-14), want,
+                             where);
+        for (const unsigned threads : {2u, 4u, 8u}) {
+          cny::exec::Fork fork(threads);
+          expect_bit_identical(
+              dispatched_terms(grid, z, 1e-14, &fork), want,
+              where + " threads=" + std::to_string(threads));
+        }
+      }
+    }
+  }
+  // Blocks that straddle the split run the series and the CF in one
+  // register and blend; make sure the widths above produce them.
+  {
+    const PitchModel pitch(4.0, 0.9);
+    const auto grid = cny::cnt::detail::pf_setup(pitch, 101.0);
+    const auto r = reference(pitch, 101.0, 0.531, 1e-14);
+    EXPECT_TRUE(some_block_straddles_the_split(grid, r.terms));
+  }
+  const PitchModel pitch(4.0, 0.9);
+  ASSERT_FALSE(cny::cnt::detail::pf_setup(pitch, 2200.0).prefactored);
+  const auto want = reference(pitch, 2200.0, 0.531, 1e-14);
+  for (const unsigned threads : {1u, 4u}) {
+    expect_bit_identical(pf_truncated(pitch, 2200.0, 0.531, 1e-14, threads),
+                         want, label(0.9, 2200.0, 0.531, 1e-14, threads));
   }
 }
 
@@ -269,7 +465,7 @@ TEST(PfKernelSharded, FinishesInsideAPoolTaskWhileEveryOtherWorkerIsBlocked) {
   // itself and never wait on them.
   auto& pool = cny::exec::ThreadPool::shared();
   const PitchModel pitch(4.0, 0.9);
-  const auto serial = pf_truncated(pitch, 130.0, 0.531, 1e-14, 1);
+  const auto serial = reference(pitch, 130.0, 0.531, 1e-14);
 
   std::atomic<unsigned> parked{0};
   std::atomic<bool> release{false};
