@@ -1,15 +1,17 @@
 // Yield-service benchmarks over the loopback transport — the full protocol
-// path (frame, decode, validate, coalesce, evaluate, encode) with no
+// path (frame, decode, validate, queue, evaluate, encode) with no
 // socket, so the numbers isolate the serving layer itself.
 //
 // The headline pair is an 8-client burst:
 //   BM_ServiceSequentialClients — the 8 requests issued one at a time, each
-//     paying its own dispatch cycle (what 8 *uncoordinated* processes
-//     running their own flows would look like, minus warm-up);
-//   BM_ServiceCoalescedBurst    — the same 8 requests submitted together,
-//     coalesced by the server into one evaluation-core call on the shared
-//     warm model. Must be at least as fast (the CI bench-smoke job asserts
-//     it).
+//     dispatched at once on an idle server and paying its own dispatch
+//     cycle (what 8 *uncoordinated* processes running their own flows
+//     would look like, minus warm-up);
+//   BM_ServiceCoalescedBurst    — the same 8 requests submitted together:
+//     the dispatcher takes what is queued when it wakes, and the rest
+//     queues behind that batch and rides the next one, so the burst costs
+//     one or two evaluation-core calls on the shared warm model. Must be
+//     at least as fast (the CI bench-smoke job asserts it).
 //
 // BM_ServiceSessionWarmup prices what the session cache amortises: the
 // library + model + interpolant build every client would otherwise pay

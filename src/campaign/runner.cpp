@@ -15,6 +15,7 @@
 
 #include "obs/metrics.h"
 #include "obs/resource.h"
+#include "service/client.h"
 #include "service/json.h"
 #include "service/server.h"
 #include "service/session_cache.h"
@@ -87,48 +88,6 @@ class ProgressSidecar {
   std::FILE* file_ = nullptr;
 };
 
-/// Classifies one response for the via-service path. A terminal outcome
-/// fills `out` and returns true; a transient one (retry-safe: transient
-/// error code, or a dropped/undecodable/corrupt response) fills `code` /
-/// `message` and returns false — it must never reach the store.
-bool classify_response(std::string bytes, Outcome& out, std::string& code,
-                       std::string& message) {
-  if (bytes.empty()) {
-    // The fault harness models a dropped connection as an empty response.
-    code = "transport";
-    message = "connection dropped before the response arrived";
-    return false;
-  }
-  service::Frame frame;
-  try {
-    frame = service::decode_frame(bytes);
-  } catch (const service::ProtocolError& e) {
-    code = "transport";
-    message = std::string("undecodable response: ") + e.what();
-    return false;
-  }
-  if (frame.type == service::FrameType::FlowResponse) {
-    try {
-      (void)service::flow_result_from_json(service::Json::parse(frame.payload));
-    } catch (const std::exception& e) {
-      code = "transport";
-      message = std::string("corrupt response payload: ") + e.what();
-      return false;
-    }
-    out = {std::move(frame.payload), "", ""};
-    return true;
-  }
-  const service::ServiceErrorInfo error =
-      service::error_from_payload(frame.payload);
-  if (service::is_transient_error(error.code)) {
-    code = error.code;
-    message = error.message;
-    return false;
-  }
-  out = {"", error.code, error.message};
-  return true;
-}
-
 void evaluate_chunk_service(const std::vector<const CompiledPoint*>& chunk,
                             std::vector<Outcome>& outcomes,
                             service::YieldServer& server,
@@ -155,13 +114,19 @@ void evaluate_chunk_service(const std::vector<const CompiledPoint*>& chunk,
     std::vector<std::size_t> still_open;
     for (std::size_t k = 0; k < open.size(); ++k) {
       const std::size_t index = open[k];
-      std::string code;
-      std::string message;
-      if (!classify_response(futures[k].get(), outcomes[index], code,
-                             message)) {
-        still_open.push_back(index);
-        last_code = std::move(code);
-        last_message = std::move(message);
+      try {
+        service::Frame frame = service::read_response(
+            futures[k].get(), service::FrameType::FlowResponse);
+        outcomes[index] = {std::move(frame.payload), "", ""};
+      } catch (const service::ServiceError& e) {
+        if (e.transient()) {
+          // Retried next round; a transient outcome never reaches the store.
+          still_open.push_back(index);
+          last_code = e.code();
+          last_message = e.message();
+        } else {
+          outcomes[index] = {"", e.code(), e.message()};
+        }
       }
     }
     open = std::move(still_open);

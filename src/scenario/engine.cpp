@@ -20,44 +20,56 @@ void check(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(what);
 }
 
-class ShortFailureMechanism final : public Mechanism {
- public:
-  std::string_view name() const override { return "shorts"; }
-  std::string_view summary() const override {
-    return "surviving-m-CNT shorts tax the yield budget (combined-mode "
-           "W_min, required p_Rm reported)";
+}  // namespace
+
+ScenarioSpec spec_from_names(std::string_view csv) {
+  ScenarioSpec spec;
+  for (const auto& token : util::split(csv, ',')) {
+    if (token.empty() || token == "none") continue;
+    if (token == "shorts") {
+      if (!spec.shorts) spec.shorts.emplace();
+    } else if (token == "length") {
+      if (!spec.length) spec.length.emplace();
+    } else if (token == "removal") {
+      if (!spec.removal) spec.removal.emplace();
+    } else {
+      throw std::invalid_argument("unknown scenario mechanism '" + token +
+                                  "' (known: shorts, length, removal)");
+    }
   }
-  bool enabled(const ScenarioSpec& spec) const override {
-    return spec.shorts.has_value();
+  return spec;
+}
+
+std::string names(const ScenarioSpec& spec) {
+  // Composition order: the corner is derived before the mechanisms that
+  // read it.
+  std::string out;
+  const auto add = [&out](bool enabled, const char* name) {
+    if (!enabled) return;
+    if (!out.empty()) out += ',';
+    out += name;
+  };
+  add(spec.removal.has_value(), "removal");
+  add(spec.shorts.has_value(), "shorts");
+  add(spec.length.has_value(), "length");
+  return out;
+}
+
+void validate(const ScenarioSpec& spec) {
+  if (spec.removal) {
+    check(spec.removal->selectivity > 0.0 && spec.removal->selectivity <= 20.0,
+          "scenario removal: selectivity must be in (0, 20] sigma");
+    check(spec.removal->p_rm_target > 0.0 && spec.removal->p_rm_target < 1.0,
+          "scenario removal: p_rm_target must be in (0, 1)");
   }
-  void enable(ScenarioSpec& spec) const override {
-    if (!spec.shorts) spec.shorts.emplace();
-  }
-  void validate(const ScenarioSpec& spec) const override {
-    if (!spec.shorts) return;
+  if (spec.shorts) {
     check(spec.shorts->p_rm > 0.0 && spec.shorts->p_rm <= 1.0,
           "scenario shorts: p_rm must be in (0, 1]");
     check(spec.shorts->p_noise_fails >= 0.0 &&
               spec.shorts->p_noise_fails <= 1.0,
           "scenario shorts: p_noise_fails must be in [0, 1]");
   }
-};
-
-class FiniteLengthMechanism final : public Mechanism {
- public:
-  std::string_view name() const override { return "length"; }
-  std::string_view summary() const override {
-    return "finite/variable CNT length rescales the aligned-row "
-           "correlation credit (exact finite-tube union)";
-  }
-  bool enabled(const ScenarioSpec& spec) const override {
-    return spec.length.has_value();
-  }
-  void enable(ScenarioSpec& spec) const override {
-    if (!spec.length) spec.length.emplace();
-  }
-  void validate(const ScenarioSpec& spec) const override {
-    if (!spec.length) return;
+  if (spec.length) {
     check(spec.length->mean > 0.0 && spec.length->mean <= 1.0e9,
           "scenario length: mean must be in (0, 1e9] nm");
     check(spec.length->cv >= 0.0 && spec.length->cv <= 3.0,
@@ -67,76 +79,6 @@ class FiniteLengthMechanism final : public Mechanism {
           "scenario length: sample_devices must be in [2, 22] (exact "
           "inclusion-exclusion bound)");
   }
-};
-
-class RemovalFrontierMechanism final : public Mechanism {
- public:
-  std::string_view name() const override { return "removal"; }
-  std::string_view summary() const override {
-    return "p_Rs earned from the probit removal frontier at the targeted "
-           "p_Rm (selectivity in sigma units)";
-  }
-  bool enabled(const ScenarioSpec& spec) const override {
-    return spec.removal.has_value();
-  }
-  void enable(ScenarioSpec& spec) const override {
-    if (!spec.removal) spec.removal.emplace();
-  }
-  void validate(const ScenarioSpec& spec) const override {
-    if (!spec.removal) return;
-    check(spec.removal->selectivity > 0.0 && spec.removal->selectivity <= 20.0,
-          "scenario removal: selectivity must be in (0, 20] sigma");
-    check(spec.removal->p_rm_target > 0.0 && spec.removal->p_rm_target < 1.0,
-          "scenario removal: p_rm_target must be in (0, 1)");
-  }
-};
-
-}  // namespace
-
-const std::vector<const Mechanism*>& mechanisms() {
-  // Registration order is composition order: the corner is derived before
-  // the mechanisms that read it.
-  static const RemovalFrontierMechanism removal;
-  static const ShortFailureMechanism shorts;
-  static const FiniteLengthMechanism length;
-  static const std::vector<const Mechanism*> all = {&removal, &shorts,
-                                                    &length};
-  return all;
-}
-
-const Mechanism* find_mechanism(std::string_view name) {
-  for (const Mechanism* m : mechanisms()) {
-    if (m->name() == name) return m;
-  }
-  return nullptr;
-}
-
-ScenarioSpec spec_from_names(std::string_view csv) {
-  ScenarioSpec spec;
-  for (const auto& token : util::split(csv, ',')) {
-    if (token.empty() || token == "none") continue;
-    const Mechanism* m = find_mechanism(token);
-    if (m == nullptr) {
-      throw std::invalid_argument("unknown scenario mechanism '" + token +
-                                  "' (known: shorts, length, removal)");
-    }
-    m->enable(spec);
-  }
-  return spec;
-}
-
-std::string names(const ScenarioSpec& spec) {
-  std::string out;
-  for (const Mechanism* m : mechanisms()) {
-    if (!m->enabled(spec)) continue;
-    if (!out.empty()) out += ',';
-    out += m->name();
-  }
-  return out;
-}
-
-void validate(const ScenarioSpec& spec) {
-  for (const Mechanism* m : mechanisms()) m->validate(spec);
 }
 
 cnt::ProcessParams derived_process(cnt::ProcessParams base,

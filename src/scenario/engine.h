@@ -3,10 +3,10 @@
 //
 // Three pieces:
 //
-//  * A mechanism registry. Every mechanism is registered once with its wire
-//    name, a one-line summary, parameter validation, and a default enabler;
-//    `--scenario=shorts,length,removal` style selections resolve through it
-//    (spec_from_names) and front ends can render the table (mechanisms()).
+//  * Mechanism names. The three mechanisms are the three optional blocks of
+//    a ScenarioSpec; `--scenario=shorts,length,removal` style selections
+//    resolve to a spec (spec_from_names) and a spec echoes its enabled
+//    mechanisms back in composition order (names).
 //
 //  * Parameter validation. scenario::validate(spec) is the single range
 //    check for every mechanism block, and yield::validate(FlowParams) (which
@@ -15,7 +15,7 @@
 //    matter which door it came in through.
 //
 //  * Composition. An Engine compiled from (FlowParams, pitch, base process)
-//    owns the combined-yield semantics, applied in registration order:
+//    owns the combined-yield semantics, applied in composition order:
 //
 //      1. RemovalFrontier derives the p_f-relevant process corner:
 //         p_Rs = Φ(Φ⁻¹(p_rm_target) − selectivity) — earned, not assumed.
@@ -46,40 +46,19 @@
 
 namespace cny::scenario {
 
-/// One registered failure mechanism. Implementations are stateless
-/// singletons owned by the registry; per-evaluation state lives in Engine.
-class Mechanism {
- public:
-  virtual ~Mechanism() = default;
-  /// Wire/CLI name ("shorts" | "length" | "removal").
-  [[nodiscard]] virtual std::string_view name() const = 0;
-  /// One-line description for usage text and docs.
-  [[nodiscard]] virtual std::string_view summary() const = 0;
-  [[nodiscard]] virtual bool enabled(const ScenarioSpec& spec) const = 0;
-  /// Switches the mechanism on in `spec` with default parameters.
-  virtual void enable(ScenarioSpec& spec) const = 0;
-  /// Range-checks the mechanism's block (no-op when disabled); throws
-  /// std::invalid_argument naming the offending parameter.
-  virtual void validate(const ScenarioSpec& spec) const = 0;
-};
-
-/// All registered mechanisms, in composition order.
-[[nodiscard]] const std::vector<const Mechanism*>& mechanisms();
-
-/// Registry lookup; nullptr for an unknown name.
-[[nodiscard]] const Mechanism* find_mechanism(std::string_view name);
-
 /// Builds a spec from a comma-separated mechanism list
 /// ("shorts,length,removal"); each named mechanism is enabled with its
 /// defaults. Throws std::invalid_argument on an unknown name; "" or
 /// "none" yields an empty spec.
 [[nodiscard]] ScenarioSpec spec_from_names(std::string_view csv);
 
-/// Canonical comma-separated names of the enabled mechanisms ("" if empty).
+/// Canonical comma-separated names of the enabled mechanisms in
+/// composition order — removal, shorts, length ("" if empty).
 [[nodiscard]] std::string names(const ScenarioSpec& spec);
 
-/// Validates every enabled mechanism's parameters (NaN-safe); throws
-/// std::invalid_argument. The FlowParams-level twin is yield::validate.
+/// Validates every enabled mechanism's parameters (NaN-safe), in
+/// composition order; throws std::invalid_argument naming the offending
+/// parameter. The FlowParams-level twin is yield::validate.
 void validate(const ScenarioSpec& spec);
 
 /// The p_f-relevant process corner after mechanism derivation: base with

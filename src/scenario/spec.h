@@ -1,5 +1,5 @@
 // ScenarioSpec — the failure-mechanism selection a flow evaluation runs
-// under (see scenario/engine.h for the mechanism registry and composition
+// under (see scenario/engine.h for the mechanism names and composition
 // semantics).
 //
 // The paper's headline analysis covers only the open-failure mode (too few

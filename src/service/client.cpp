@@ -28,6 +28,43 @@ namespace {
 
 }  // namespace
 
+Frame read_response(std::string_view bytes, FrameType expected) {
+  if (bytes.empty()) {
+    // The loopback fault harness models a dropped connection as an empty
+    // response; a real socket drop already failed inside the read.
+    transport_fail("connection dropped before the response arrived");
+  }
+  Frame frame;
+  try {
+    frame = decode_frame(bytes);
+  } catch (const ProtocolError& e) {
+    // Truncated or mangled bytes: the wire failed, not the request.
+    transport_fail(std::string("undecodable response: ") + e.what());
+  }
+  if (frame.type == FrameType::Error) {
+    const auto info = error_from_payload(frame.payload);
+    throw ServiceError(info.code, info.message);
+  }
+  if (frame.type != expected) {
+    throw ServiceError(
+        "unexpected_frame",
+        "expected frame type " +
+            std::to_string(static_cast<std::uint32_t>(expected)) +
+            ", got " +
+            std::to_string(static_cast<std::uint32_t>(frame.type)));
+  }
+  if (expected == FrameType::FlowResponse) {
+    try {
+      (void)flow_result_from_json(Json::parse(frame.payload));
+    } catch (const std::exception& e) {
+      // A response that arrived but does not decode was corrupted in
+      // flight — a transport failure, retried like one.
+      transport_fail(std::string("corrupt response payload: ") + e.what());
+    }
+  }
+  return frame;
+}
+
 unsigned RetryPolicy::backoff_ms(unsigned attempt) const {
   const double capped =
       std::min(static_cast<double>(backoff_base_ms) *
@@ -129,7 +166,13 @@ std::string YieldClient::roundtrip(std::string frame) {
 
   std::string response(kHeaderBytes, '\0');
   read_full(response.data(), kHeaderBytes);
-  const FrameHeader header = decode_header(response);
+  FrameHeader header;
+  try {
+    header = decode_header(response);
+  } catch (const ProtocolError& e) {
+    // A mangled header leaves the stream unframeable: the wire failed.
+    transport_fail(std::string("undecodable response: ") + e.what());
+  }
   response.resize(kHeaderBytes + header.payload_size);
   if (header.payload_size > 0) {
     read_full(response.data() + kHeaderBytes, header.payload_size);
@@ -137,23 +180,8 @@ std::string YieldClient::roundtrip(std::string frame) {
   return response;
 }
 
-Frame YieldClient::exchange(const std::string& frame) {
-  std::string response = roundtrip(frame);
-  if (response.empty()) {
-    // The loopback fault harness models a dropped connection as an empty
-    // response; a real socket drop already failed inside roundtrip().
-    transport_fail("connection dropped before the response arrived");
-  }
-  try {
-    return decode_frame(response);
-  } catch (const ProtocolError& e) {
-    // Truncated or mangled bytes: the wire failed, not the request.
-    transport_fail(std::string("undecodable response: ") + e.what());
-  }
-}
-
 Frame YieldClient::request_reply(const std::string& frame,
-                                 bool check_payload) {
+                                 FrameType expected) {
   using clock = std::chrono::steady_clock;
   const unsigned max_attempts = std::max(1u, retry_.max_attempts);
   const auto deadline =
@@ -167,21 +195,7 @@ Frame YieldClient::request_reply(const std::string& frame,
     obs::Span span(trace_, "client.attempt", "client");
     span.arg("attempt", std::to_string(attempt));
     try {
-      Frame response = exchange(frame);
-      if (response.type == FrameType::Error) {
-        const auto info = error_from_payload(response.payload);
-        throw ServiceError(info.code, info.message);
-      }
-      if (check_payload && response.type == FrameType::FlowResponse) {
-        try {
-          (void)flow_result_from_json(Json::parse(response.payload));
-        } catch (const std::exception& e) {
-          // A response that arrived but does not decode was corrupted in
-          // flight — a transport failure, retried like one.
-          transport_fail(std::string("corrupt response payload: ") +
-                         e.what());
-        }
-      }
+      Frame response = read_response(roundtrip(frame), expected);
       span.arg("outcome", "ok");
       return response;
     } catch (const ServiceError& e) {
@@ -206,44 +220,24 @@ Frame YieldClient::request_reply(const std::string& frame,
 
 yield::FlowResult YieldClient::call(const FlowRequest& request) {
   const Frame response =
-      request_reply(encode_flow_request(request), /*check_payload=*/true);
-  if (response.type != FrameType::FlowResponse) {
-    throw ServiceError("unexpected_frame",
-                       "server answered with frame type " +
-                           std::to_string(static_cast<std::uint32_t>(
-                               response.type)));
-  }
+      request_reply(encode_flow_request(request), FrameType::FlowResponse);
   return flow_result_from_json(Json::parse(response.payload));
 }
 
 std::string YieldClient::ping() {
-  const Frame response =
-      request_reply(encode_frame(FrameType::Ping, "{}"),
-                    /*check_payload=*/false);
-  if (response.type != FrameType::Pong) {
-    throw ServiceError("unexpected_frame", "ping was not answered with pong");
-  }
-  return response.payload;
+  return request_reply(encode_frame(FrameType::Ping, "{}"), FrameType::Pong)
+      .payload;
 }
 
 std::string YieldClient::stats() {
-  const Frame response =
-      request_reply(encode_frame(FrameType::Stats, "{}"),
-                    /*check_payload=*/false);
-  if (response.type != FrameType::StatsReply) {
-    throw ServiceError("unexpected_frame",
-                       "stats was not answered with a stats reply");
-  }
-  return response.payload;
+  return request_reply(encode_frame(FrameType::Stats, "{}"),
+                       FrameType::StatsReply)
+      .payload;
 }
 
 void YieldClient::shutdown_server() {
-  const Frame response =
-      decode_frame(roundtrip(encode_frame(FrameType::Shutdown, "{}")));
-  if (response.type != FrameType::Pong) {
-    throw ServiceError("unexpected_frame",
-                       "shutdown was not acknowledged with pong");
-  }
+  (void)read_response(roundtrip(encode_frame(FrameType::Shutdown, "{}")),
+                      FrameType::Pong);
 }
 
 }  // namespace cny::service

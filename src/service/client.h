@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "obs/trace.h"
 #include "service/protocol.h"
@@ -54,6 +55,18 @@ class ServiceError : public std::runtime_error {
   std::string code_;
   std::string message_;
 };
+
+/// The one rule for reading a response, shared by YieldClient and the
+/// campaign runner's via-service path. Returns the decoded frame when it
+/// is of the `expected` type. Otherwise throws ServiceError:
+///   * `transport` for empty bytes (a dropped connection), bytes that do
+///     not frame, or a FlowResponse whose payload does not decode (a
+///     response corrupted in flight);
+///   * the server's code for an Error frame;
+///   * `unexpected_frame` for any other frame type.
+/// ServiceError::transient() then says whether a retry may succeed.
+[[nodiscard]] Frame read_response(std::string_view bytes,
+                                  FrameType expected);
 
 /// Retry policy for call() / ping(). Defaults are "no retries"; a caller
 /// opting in sets max_attempts > 1. Backoff for attempt k (1-based) is
@@ -122,17 +135,14 @@ class YieldClient {
 
  private:
   void connect_tcp();
+  /// One attempt's bytes; a socket failure, timeout or unframeable
+  /// header throws a `transport` ServiceError.
   [[nodiscard]] std::string roundtrip(std::string frame);
-  /// One attempt: roundtrip + decode; transport-class failures (dropped
-  /// loopback response, unframeable bytes) become ServiceError.
-  [[nodiscard]] Frame exchange(const std::string& frame);
-  /// The retry loop around exchange(): transient errors back off and go
-  /// again (reconnecting TCP first when the transport broke), terminal
-  /// error frames throw immediately. `check_payload` additionally demands
-  /// that a FlowResponse payload decodes — a corrupt-in-flight response
-  /// is a transport failure, not a verdict.
+  /// The retry loop around roundtrip() + read_response(): transient errors
+  /// back off and go again (reconnecting TCP first when the transport
+  /// broke), terminal ones throw immediately.
   [[nodiscard]] Frame request_reply(const std::string& frame,
-                                    bool check_payload);
+                                    FrameType expected);
 
   YieldServer* loopback_ = nullptr;
   int fd_ = -1;

@@ -108,8 +108,11 @@ void apply_response_fault(const FaultSpec& spec, std::string& response) {
       response.resize(std::min(spec.at_byte, kHeaderBytes - 1));
       std::this_thread::sleep_for(std::chrono::milliseconds(spec.delay_ms));
       break;
-    case FaultKind::DropBeforeResponse:
     case FaultKind::DropAfterResponse:
+      // The response was computed, then lost with the connection.
+      response.clear();
+      break;
+    case FaultKind::DropBeforeResponse:
     case FaultKind::TransientReject:
       // Handled before a response string exists (drop / reject paths).
       break;

@@ -5,11 +5,14 @@
 // response is delayed, truncated at byte K, gets one payload byte
 // corrupted, the server answers a transient reject (`server_overloaded` /
 // `try_later`) without evaluating, or dribbles a partial header and stalls
-// (slow loris). The plan plugs into both transports via
-// ServerOptions.fault_plan — the TCP path applies faults at the socket,
-// the loopback submit() path applies the equivalent mutation to the
-// response string — so every failure mode a production deployment can hit
-// is reproducible in a unit test and in CI, byte for byte.
+// (slow loris). The plan plugs in via ServerOptions.fault_plan, and both
+// transports meet it at one boundary in the server: it consults the plan
+// once per FlowRequest frame and maps the fault onto the response bytes
+// ("" for a dropped connection). The loopback submit() returns those
+// bytes; the TCP loop writes them and closes the connection on a drop, a
+// truncation or a slow loris. So every failure mode a production
+// deployment can hit is reproducible in a unit test and in CI, byte for
+// byte.
 //
 // Determinism contract: the decision for the n-th frame is a pure function
 // of (options, n). Frames are numbered in arrival order; a retried request
@@ -103,10 +106,11 @@ class FaultPlan {
   std::atomic<std::uint64_t> injected_{0};
 };
 
-/// Applies `spec` to a response string — the loopback equivalent of the
-/// socket-level fault (truncation, corruption, delay, slow-loris; drops
-/// and rejects are handled before a response exists). Sleeps for delay
-/// faults, so call it on the thread that owns the wait.
+/// Applies `spec` to an evaluated response: truncation, corruption, delay,
+/// slow loris, or a drop after the response (which empties it). A drop
+/// before the response and a reject never evaluate, so they are handled
+/// before a response exists. Sleeps for delay faults, so call it on the
+/// thread that owns the wait.
 void apply_response_fault(const FaultSpec& spec, std::string& response);
 
 }  // namespace cny::service

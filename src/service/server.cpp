@@ -33,6 +33,9 @@ namespace {
 /// Long waits are sliced so stop() is honoured within one slice.
 constexpr int kPollSliceMs = 200;
 
+/// Requests per dispatch cycle; later arrivals wait for the next cycle.
+constexpr std::size_t kMaxBatch = 64;
+
 std::future<std::string> ready_future(std::string frame) {
   std::promise<std::string> promise;
   promise.set_value(std::move(frame));
@@ -188,31 +191,25 @@ struct YieldServer::Impl {
 
   void dispatch_loop() {
     for (;;) {
+      std::vector<Pending> batch;
       {
         std::unique_lock<std::mutex> lock(queue_mutex);
         queue_cv.wait(lock, [&] {
           return stop_flag.load(std::memory_order_relaxed) || !queue.empty();
         });
         if (stop_flag.load(std::memory_order_relaxed)) return;
-      }
-      // The coalescing window: let the rest of a burst arrive and join
-      // this cycle's batch. Responses are batching-invariant, so this
-      // only ever trades first-request latency for batch throughput.
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options.coalesce_window_us));
-      std::vector<Pending> batch;
-      {
-        const std::lock_guard<std::mutex> lock(queue_mutex);
-        const std::size_t n = std::min(queue.size(), options.max_batch);
+        // No window: take what is queued now. Whatever arrives while this
+        // batch runs forms the next one, so batching follows the load.
+        const std::size_t n = std::min(queue.size(), kMaxBatch);
         batch.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
           batch.push_back(std::move(queue.front()));
           queue.pop_front();
         }
         g_queue_depth.add(-static_cast<std::int64_t>(n));
-        in_flight = !batch.empty();
+        in_flight = true;
       }
-      if (!batch.empty()) process_batch(batch);
+      process_batch(batch);
       {
         const std::lock_guard<std::mutex> lock(queue_mutex);
         in_flight = false;
@@ -376,34 +373,11 @@ struct YieldServer::Impl {
           !read_full(fd, frame.data() + kHeaderBytes, header.payload_size)) {
         break;  // truncated mid-frame
       }
-      // Fault injection, at the same boundary a real network failure
-      // lives: after the request is fully read, before/around the write.
-      std::optional<FaultSpec> fault;
-      if (options.fault_plan && header.type == FrameType::FlowRequest) {
-        fault = options.fault_plan->next();
-      }
-      if (fault) {
-        c_faults_injected.add(1);
-        if (fault->kind == FaultKind::DropBeforeResponse) break;
-        if (fault->kind == FaultKind::TransientReject) {
-          c_errors.add(1);
-          if (!write_all(fd, encode_error(fault->error_code,
-                                          "injected transient fault"))) {
-            break;
-          }
-          continue;  // the connection survives a transient reject
-        }
-      }
-      std::string response = submit_frame(std::move(frame)).get();
-      if (fault) {
-        if (fault->kind == FaultKind::DropAfterResponse) break;
-        apply_response_fault(*fault, response);
-      }
-      if (!write_all(fd, response)) break;
-      // Truncation and slow-loris leave the stream unframeable; close so
-      // the client sees EOF instead of waiting out its timeout.
-      if (fault && (fault->kind == FaultKind::TruncateResponse ||
-                    fault->kind == FaultKind::SlowLorisResponse)) {
+      Answer reply = answer(std::move(frame));
+      const std::string response = reply.response.get();
+      // An empty response is a dropped connection; an unframeable one
+      // closes so the client sees EOF instead of waiting out its timeout.
+      if (response.empty() || !write_all(fd, response) || reply.close_after) {
         break;
       }
       if (header.type == FrameType::Shutdown) break;
@@ -491,6 +465,53 @@ struct YieldServer::Impl {
   }
 
   // --- protocol entry (shared by loopback and TCP) -----------------------
+
+  /// A frame's response and whether it leaves the stream unframeable (a
+  /// TCP connection must close after it).
+  struct Answer {
+    std::future<std::string> response;
+    bool close_after = false;
+  };
+
+  /// The transports' one fault boundary: consults the fault plan once per
+  /// FlowRequest frame and maps the injected fault onto the response bytes
+  /// ("" = the connection drops); with no fault, the plain protocol path.
+  Answer answer(std::string frame) {
+    std::optional<FaultSpec> fault;
+    if (options.fault_plan && frame.size() >= kHeaderBytes) {
+      try {
+        const FrameHeader header =
+            decode_header(std::string_view(frame).substr(0, kHeaderBytes));
+        if (header.type == FrameType::FlowRequest) {
+          fault = options.fault_plan->next();
+        }
+      } catch (const ProtocolError&) {
+        // A malformed header takes the normal bad_frame path below.
+      }
+    }
+    if (!fault) return {submit_frame(std::move(frame))};
+    c_faults_injected.add(1);
+    if (fault->kind == FaultKind::DropBeforeResponse) {
+      return {ready_future(std::string())};
+    }
+    if (fault->kind == FaultKind::TransientReject) {
+      // No evaluation; a TCP connection survives the reject.
+      c_errors.add(1);
+      return {ready_future(
+          encode_error(fault->error_code, "injected transient fault"))};
+    }
+    // The server does the work, then the wire mangles (or loses) it; the
+    // delay sleeps on whichever thread waits for the response.
+    return {std::async(std::launch::deferred,
+                       [inner = submit_frame(std::move(frame)),
+                        spec = *fault]() mutable {
+                         std::string response = inner.get();
+                         apply_response_fault(spec, response);
+                         return response;
+                       }),
+            fault->kind == FaultKind::TruncateResponse ||
+                fault->kind == FaultKind::SlowLorisResponse};
+  }
 
   std::future<std::string> submit_frame(std::string frame) {
     c_frames_in.add(1);
@@ -703,52 +724,8 @@ std::uint16_t YieldServer::metrics_port() const {
 }
 
 std::future<std::string> YieldServer::submit(std::string frame) {
-  Impl& impl = *impl_;
-  CNY_EXPECT_MSG(impl.started, "submit() before start()");
-  // Loopback fault injection: the same plan the TCP path consults, with
-  // the socket-level outcome mapped onto the response string — a dropped
-  // connection becomes the empty string (the client treats it as a
-  // transport failure), truncation/corruption/delay mutate the bytes.
-  std::optional<FaultSpec> fault;
-  if (impl.options.fault_plan && frame.size() >= kHeaderBytes) {
-    try {
-      const FrameHeader header =
-          decode_header(std::string_view(frame).substr(0, kHeaderBytes));
-      if (header.type == FrameType::FlowRequest) {
-        fault = impl.options.fault_plan->next();
-      }
-    } catch (const ProtocolError&) {
-      // A malformed header takes the normal bad_frame path below.
-    }
-  }
-  if (!fault) return impl.submit_frame(std::move(frame));
-  impl.c_faults_injected.add(1);
-  switch (fault->kind) {
-    case FaultKind::DropBeforeResponse:
-      return ready_future(std::string());
-    case FaultKind::TransientReject:
-      impl.c_errors.add(1);
-      return ready_future(
-          encode_error(fault->error_code, "injected transient fault"));
-    case FaultKind::DropAfterResponse: {
-      // Evaluate (the server did the work), then "lose" the response.
-      auto inner = impl.submit_frame(std::move(frame));
-      return std::async(std::launch::deferred,
-                        [inner = std::move(inner)]() mutable {
-                          inner.get();
-                          return std::string();
-                        });
-    }
-    default: {
-      auto inner = impl.submit_frame(std::move(frame));
-      return std::async(std::launch::deferred,
-                        [inner = std::move(inner), spec = *fault]() mutable {
-                          std::string response = inner.get();
-                          apply_response_fault(spec, response);
-                          return response;
-                        });
-    }
-  }
+  CNY_EXPECT_MSG(impl_->started, "submit() before start()");
+  return impl_->answer(std::move(frame)).response;
 }
 
 void YieldServer::wait_shutdown() {

@@ -1,26 +1,28 @@
 // YieldServer — the batching front end over warm FailureModels.
 //
-// Concurrently arriving FlowRequests are *coalesced*: a dispatcher thread
-// collects everything that arrives within a short window, groups it by
-// session key (library + *derived* process corner, see session_cache.h)
-// and evaluates each group as one batch of run_flow jobs on that session's
-// warm model, with per-job error capture — one bad request (e.g. an
-// infeasible scenario) gets its own error frame and never poisons its
-// batch. N clients therefore cost ~1 model warm-up plus their own MC
-// work, instead of N cold starts.
+// Concurrently arriving FlowRequests are *coalesced* with no window to
+// tune: a dispatcher thread waits for a non-empty queue, pops everything
+// queued (up to a fixed cap) and evaluates it; whatever arrives while that
+// batch runs forms the next one, so an idle server answers a lone request
+// at once and a loaded one batches in step with its load. A batch is
+// grouped by session key (library + *derived* process corner, see
+// session_cache.h) and each group evaluated as one batch of run_flow jobs
+// on that session's warm model, with per-job error capture — one bad
+// request (e.g. an infeasible scenario) gets its own error frame and never
+// poisons its batch. N clients therefore cost ~1 model warm-up plus their
+// own MC work, instead of N cold starts.
 //
 // Determinism contract (pinned in tests/test_service.cpp): a response is a
 // function of the request alone — (request params, seed, mc_streams) —
-// never of how requests happened to batch, the coalescing window, or the
-// server's thread count. This holds by construction: the session model
-// carries its interpolant *before* serving, every job reads that same
-// model whether it runs solo or in a batch (no per-batch table is ever
-// built), and the exec subsystem already guarantees thread-count
-// invariance.
+// never of how requests happened to batch or the server's thread count.
+// This holds by construction: the session model carries its interpolant
+// *before* serving, every job reads that same model whether it runs solo
+// or in a batch (no per-batch table is ever built), and the exec subsystem
+// already guarantees thread-count invariance.
 //
 // Transports:
 //   * Loopback — submit() takes one request frame and yields the response
-//     frame, running the full protocol path (decode, validate, coalesce,
+//     frame, running the full protocol path (decode, validate, queue,
 //     evaluate, encode) with no socket. Tests and benches use this.
 //   * TCP — a listener on 127.0.0.1 accepts length-framed connections and
 //     serves them from an exec::ThreadPool; each frame is answered on the
@@ -48,11 +50,6 @@ struct ServerOptions {
   /// Compute threads per coalesced batch (0 = hardware concurrency).
   /// Scheduling only: responses are invariant under this knob.
   unsigned n_threads = 0;
-  /// Requests arriving within this window of the first queued one join its
-  /// batch. Purely a throughput/latency trade — see determinism contract.
-  unsigned coalesce_window_us = 2000;
-  /// Requests per dispatch cycle; later arrivals wait for the next cycle.
-  std::size_t max_batch = 64;
   /// Warm (library, process) sessions kept alive, LRU-evicted.
   std::size_t cache_capacity = 4;
   /// Knots of each session's log-p_F interpolant.

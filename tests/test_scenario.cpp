@@ -19,6 +19,7 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -306,7 +307,8 @@ TEST(ScenarioEngine, StageGraphIsThreadCountInvariantWithShortsAndLength) {
 // --- registry + validation --------------------------------------------------
 
 TEST(ScenarioRegistry, ResolvesNamesAndRejectsUnknowns) {
-  EXPECT_EQ(scenario::mechanisms().size(), 3u);
+  const auto all = scenario::spec_from_names("shorts,length,removal");
+  EXPECT_TRUE(all.shorts && all.length && all.removal);
   const auto spec = scenario::spec_from_names("shorts,length");
   EXPECT_TRUE(spec.shorts.has_value());
   EXPECT_TRUE(spec.length.has_value());
@@ -314,13 +316,34 @@ TEST(ScenarioRegistry, ResolvesNamesAndRejectsUnknowns) {
   EXPECT_EQ(scenario::names(spec), "shorts,length");
   EXPECT_TRUE(scenario::spec_from_names("").empty());
   EXPECT_TRUE(scenario::spec_from_names("none").empty());
-  EXPECT_THROW((void)scenario::spec_from_names("shortz"),
-               std::invalid_argument);
-  EXPECT_EQ(scenario::find_mechanism("removal")->name(), "removal");
-  EXPECT_EQ(scenario::find_mechanism("frontier"), nullptr);
-  // Spec echo order is registration (= composition) order.
+  try {
+    (void)scenario::spec_from_names("shorts,frontier");
+    ADD_FAILURE() << "unknown mechanism accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "unknown scenario mechanism 'frontier' (known: shorts, "
+                 "length, removal)");
+  }
+  // Spec echo order is composition order, whatever the input order.
   EXPECT_EQ(scenario::names(scenario::spec_from_names("length,removal")),
             "removal,length");
+  EXPECT_EQ(scenario::names(all), "removal,shorts,length");
+  EXPECT_EQ(scenario::names(scenario::spec_from_names("removal,removal")),
+            "removal");
+  EXPECT_EQ(scenario::names({}), "");
+  // validate() checks blocks in the same order: the first bad block named
+  // is the earliest in composition order.
+  auto bad = all;
+  bad.removal->selectivity = 0.0;
+  bad.length->cv = -1.0;
+  try {
+    scenario::validate(bad);
+    ADD_FAILURE() << "bad selectivity accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "scenario removal: selectivity must be in (0, 20] sigma");
+  }
+  EXPECT_NO_THROW(scenario::validate(all));
 }
 
 TEST(ScenarioValidation, OneHelperRejectsBadValuesAtEveryEntryPoint) {

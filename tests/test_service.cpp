@@ -286,6 +286,30 @@ std::uint64_t stats_counter(const service::YieldServer& server,
   return Json::parse(server.stats_json()).at("stats").at(name).as_u64();
 }
 
+/// One gauge of the server's canonical stats payload.
+std::int64_t stats_gauge(const service::YieldServer& server,
+                         std::string_view name) {
+  return static_cast<std::int64_t>(
+      Json::parse(server.stats_json()).at("gauges").at(name).as_double());
+}
+
+/// Holds the queue with work instead of a window: submits a blocker on a
+/// corner no session holds (a session warm-up plus 20,000 MC samples) and
+/// returns once the dispatcher has popped it — the queue_depth gauge reads
+/// 0 again — so everything submitted next queues behind it. Each call
+/// picks a fresh corner, so a later blocker on the same server is cold too.
+std::future<std::string> hold_dispatcher(service::YieldServer& server) {
+  static int blockers = 0;
+  FlowRequest blocker = small_request(1, 0.9);
+  blocker.process.p_metallic = 0.31 - 0.001 * blockers++;
+  blocker.params.mc_samples = 20000;
+  auto future = server.submit(service::encode_flow_request(blocker));
+  while (stats_gauge(server, "queue_depth") != 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return future;
+}
+
 service::ServiceErrorInfo expect_error_frame(const std::string& response) {
   const Frame frame = service::decode_frame(response);
   EXPECT_EQ(frame.type, FrameType::Error);
@@ -430,10 +454,9 @@ TEST(ServiceServer, SoloAndCoalescedBurstResponsesAreByteIdentical) {
 
   std::string in_burst;
   {
-    auto options = loopback_options();
-    options.coalesce_window_us = 20000;  // make the burst coalesce for sure
-    service::YieldServer server(options);
+    service::YieldServer server(loopback_options());
     server.start();
+    auto blocker = hold_dispatcher(server);
     std::vector<std::future<std::string>> burst;
     burst.push_back(server.submit(probe));
     for (std::uint64_t seed = 100; seed < 107; ++seed) {
@@ -442,15 +465,47 @@ TEST(ServiceServer, SoloAndCoalescedBurstResponsesAreByteIdentical) {
     }
     in_burst = burst.front().get();
     for (std::size_t i = 1; i < burst.size(); ++i) burst[i].get();
-    EXPECT_EQ(stats_counter(server, "batched_requests"), 8u);
-    EXPECT_LT(stats_counter(server, "batches"),
-              stats_counter(server, "batched_requests"))
-        << "burst should have coalesced into fewer session groups";
+    EXPECT_EQ(service::decode_frame(blocker.get()).type,
+              FrameType::FlowResponse);
+    // The blocker's batch, then all 8 burst requests in one batch.
+    EXPECT_EQ(stats_counter(server, "batched_requests"), 9u);
+    EXPECT_EQ(stats_counter(server, "batches"), 2u)
+        << "the burst queued behind the blocker should ride one batch";
     server.stop();
   }
 
   EXPECT_EQ(service::decode_frame(solo).type, FrameType::FlowResponse);
   EXPECT_EQ(solo, in_burst);
+}
+
+// No window to wait out: a request reaching an idle server is dispatched
+// the moment it is queued. A fixed 2 ms window makes every queue wait
+// >= 2000 us; here some wait must fall in the OpenMetrics buckets up to
+// 1023 us. The test asks for one prompt dispatch, not a quantile: on a
+// saturated host a wake-up can wait out a ~2 ms scheduler slice.
+TEST(ServiceServer, IdleServerDispatchesALoneRequestAtOnce) {
+  service::YieldServer server(loopback_options());
+  server.start();
+  service::YieldClient client(server);
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    (void)client.call(small_request(seed, 0.9));
+  }
+  std::uint64_t prompt = 0;
+  std::istringstream page(server.metrics_text());
+  const std::string bucket = "cny_queue_wait_us_bucket{le=\"";
+  for (std::string line; std::getline(page, line);) {
+    if (line.rfind(bucket, 0) != 0 || line[bucket.size()] == '+') continue;
+    const std::uint64_t le = std::stoull(line.substr(bucket.size()));
+    if (le <= 1023) prompt = std::stoull(line.substr(line.rfind(' ') + 1));
+  }
+  EXPECT_GE(prompt, 1u) << "every request waited at least 1 ms in the queue";
+  EXPECT_EQ(Json::parse(server.stats_json())
+                .at("histograms")
+                .at("queue_wait_us")
+                .at("count")
+                .as_u64(),
+            16u);
+  server.stop();
 }
 
 // --- scenario fields (protocol v2) ----------------------------------------
@@ -538,10 +593,9 @@ TEST(ServiceServer, ScenarioResponseMatchesDirectRunFlowBitExactly) {
 // One infeasible scenario must fail alone: the rest of its coalesced batch
 // still gets real responses.
 TEST(ServiceServer, InfeasibleScenarioFailsAloneInABurst) {
-  auto options = loopback_options();
-  options.coalesce_window_us = 20000;  // force one batch
-  service::YieldServer server(options);
+  service::YieldServer server(loopback_options());
   server.start();
+  auto blocker = hold_dispatcher(server);  // force one batch
 
   FlowRequest good = small_request(5, 0.9);
   FlowRequest bad = small_request(6, 0.9);
@@ -556,6 +610,10 @@ TEST(ServiceServer, InfeasibleScenarioFailsAloneInABurst) {
   const auto error = service::error_from_payload(bad_frame.payload);
   EXPECT_EQ(error.code, "evaluation_failed");
   EXPECT_NE(error.message.find("short mode"), std::string::npos);
+  EXPECT_EQ(service::decode_frame(blocker.get()).type,
+            FrameType::FlowResponse);
+  EXPECT_EQ(stats_counter(server, "batches"), 2u)
+      << "good and bad should have shared one batch";
   server.stop();
 }
 
@@ -849,9 +907,9 @@ TEST(ServiceClient, RetryDeadlineBudgetBoundsTheAttempts) {
 TEST(ServiceServer, AdmissionQueueRejectsOverloadWithTransientCode) {
   auto options = loopback_options();
   options.max_queue = 2;
-  options.coalesce_window_us = 200000;  // hold the queue full long enough
   service::YieldServer server(options);
   server.start();
+  auto blocker = hold_dispatcher(server);
 
   std::vector<std::future<std::string>> futures;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -874,18 +932,20 @@ TEST(ServiceServer, AdmissionQueueRejectsOverloadWithTransientCode) {
   }
   EXPECT_EQ(served, 2u);
   EXPECT_EQ(rejected, 2u);
+  EXPECT_EQ(service::decode_frame(blocker.get()).type,
+            FrameType::FlowResponse);
   EXPECT_EQ(stats_counter(server, "overload_rejects"), 2u);
   server.stop();
 }
 
 TEST(ServiceServer, PastDeadlineWorkIsShedBeforeEvaluation) {
-  auto options = loopback_options();
-  options.coalesce_window_us = 80000;  // 80 ms: a 10 ms deadline must pass
-  service::YieldServer server(options);
+  service::YieldServer server(loopback_options());
   server.start();
+  // A session warm-up plus 20,000 samples: a 1 ms deadline must pass.
+  auto blocker = hold_dispatcher(server);
 
   auto doomed = small_request(1, 0.9);
-  doomed.deadline_ms = 10;
+  doomed.deadline_ms = 1;
   const auto patient = small_request(2, 0.9);  // no deadline, same batch
   auto doomed_future = server.submit(service::encode_flow_request(doomed));
   auto patient_future = server.submit(service::encode_flow_request(patient));
@@ -895,16 +955,17 @@ TEST(ServiceServer, PastDeadlineWorkIsShedBeforeEvaluation) {
   EXPECT_TRUE(service::is_transient_error(error.code));
   EXPECT_EQ(service::decode_frame(patient_future.get()).type,
             FrameType::FlowResponse);
+  EXPECT_EQ(service::decode_frame(blocker.get()).type,
+            FrameType::FlowResponse);
   EXPECT_EQ(stats_counter(server, "deadline_sheds"), 1u);
-  EXPECT_EQ(stats_counter(server, "responses"), 1u);
+  EXPECT_EQ(stats_counter(server, "responses"), 2u);
   server.stop();
 }
 
 TEST(ServiceServer, DrainFinishesQueuedWorkAndRefusesNewFrames) {
-  auto options = loopback_options();
-  options.coalesce_window_us = 100000;  // queued work outlives drain entry
-  service::YieldServer server(options);
+  service::YieldServer server(loopback_options());
   server.start();
+  auto blocker = hold_dispatcher(server);  // queued work outlives drain entry
 
   auto first = server.submit(service::encode_flow_request(small_request(1, 0.9)));
   auto second = server.submit(service::encode_flow_request(small_request(2, 0.9)));
@@ -918,6 +979,8 @@ TEST(ServiceServer, DrainFinishesQueuedWorkAndRefusesNewFrames) {
   // The queued requests still get real responses — that is the point.
   EXPECT_EQ(service::decode_frame(first.get()).type, FrameType::FlowResponse);
   EXPECT_EQ(service::decode_frame(second.get()).type,
+            FrameType::FlowResponse);
+  EXPECT_EQ(service::decode_frame(blocker.get()).type,
             FrameType::FlowResponse);
   drainer.join();
   server.stop();
@@ -1056,6 +1119,68 @@ TEST(ServiceClient, TcpClientReconnectsAfterInjectedDrops) {
   server.stop();
 }
 
+// A peer that answers bytes which do not frame (here the start of an HTTP
+// reply) is a transport failure: retried on a fresh connection each time,
+// then surfaced as a `transport` ServiceError.
+TEST(ServiceClient, GarbageResponseHeaderIsARetriedTransportFailure) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 8), 0);
+  socklen_t len = sizeof(addr);
+  ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len);
+
+  constexpr int kAttempts = 3;
+  int accepted = 0;
+  std::thread peer([listener, &accepted] {
+    // Every connection stays open until the end, so a new one only comes
+    // from the client choosing to reconnect.
+    std::vector<int> connections;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (accepted < kAttempts &&
+           std::chrono::steady_clock::now() < deadline) {
+      pollfd pfd{listener, POLLIN, 0};
+      if (::poll(&pfd, 1, 100) <= 0) continue;
+      const int fd = ::accept(listener, nullptr, nullptr);
+      if (fd < 0) continue;
+      accepted += 1;
+      connections.push_back(fd);
+      pollfd in{fd, POLLIN, 0};
+      char request[256];
+      if (::poll(&in, 1, 2000) > 0) (void)::recv(fd, request, sizeof(request), 0);
+      (void)::send(fd, "HTTP/1.0 400 Bad", 16, MSG_NOSIGNAL);
+    }
+    for (const int fd : connections) ::close(fd);
+  });
+
+  service::YieldClient client("127.0.0.1", ntohs(addr.sin_port),
+                              /*timeout_ms=*/2000);
+  service::RetryPolicy retry;
+  retry.max_attempts = kAttempts;
+  retry.backoff_base_ms = 1;
+  client.set_retry_policy(retry);
+  try {
+    (void)client.ping();
+    ADD_FAILURE() << "a garbage response must not pass as a pong";
+  } catch (const service::ServiceError& e) {
+    EXPECT_EQ(e.code(), "transport");
+    EXPECT_NE(e.message().find("bad frame magic"), std::string::npos)
+        << e.message();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "escaped as a non-service error: " << e.what();
+  }
+  peer.join();
+  EXPECT_EQ(accepted, kAttempts) << "each retry must reconnect";
+  ::close(listener);
+}
+
 // --- observability (protocol v4) -------------------------------------------
 
 TEST(ServiceProtocol, TraceIdOmittedWhenEmptyKeepsPayloadByteIdentical) {
@@ -1164,24 +1289,26 @@ TEST(ServiceServer, EveryStatsCounterIsExercisedSomewhere) {
     options.listen = true;
     options.port = 0;
     options.max_queue = 2;
-    options.coalesce_window_us = 200000;
     service::YieldServer server(options);
     server.start();
 
     std::vector<std::future<std::string>> burst;
+    burst.push_back(hold_dispatcher(server));
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       burst.push_back(server.submit(
           service::encode_flow_request(small_request(seed, 0.9))));
     }
     for (auto& future : burst) (void)future.get();
 
+    auto blocker = hold_dispatcher(server);
     auto doomed = small_request(5, 0.9);
-    doomed.deadline_ms = 10;
+    doomed.deadline_ms = 1;
     EXPECT_EQ(
         expect_error_frame(
             server.submit(service::encode_flow_request(doomed)).get())
             .code,
         "deadline_exceeded");
+    (void)blocker.get();
     (void)server.submit("garbage").get();
 
     service::YieldClient tcp("127.0.0.1", server.port());

@@ -23,10 +23,11 @@
 //   cntyield_cli align   [--lib=FILE] [--wmin=103] [--rows=1] [--out=FILE]
 //   cntyield_cli gen-lib [--which=nangate45|commercial65] --out=FILE
 //   cntyield_cli gen-design --lib=FILE --out=FILE [--instances=50000]
-//   cntyield_cli serve   [--port=7421] [--threads=N] [--coalesce-us=2000]
-//                        [--cache-size=4] [--knots=65] [--max-queue=1024]
-//                        [--metrics-port=N]
-//                        (SIGTERM/SIGINT or a Shutdown frame drain
+//   cntyield_cli serve   [--port=7421] [--threads=N] [--cache-size=4]
+//                        [--knots=65] [--max-queue=1024] [--metrics-port=N]
+//                        (a lone request is dispatched at once; those
+//                        queued while a batch runs form the next batch.
+//                        SIGTERM/SIGINT or a Shutdown frame drain
 //                        gracefully: queued work finishes, new requests
 //                        get `shutting_down`; --metrics-port serves
 //                        OpenMetrics `GET /metrics`)
@@ -715,9 +716,6 @@ int cmd_serve(const util::Cli& cli) {
   }
   options.log = g_log;
   options.n_threads = resolve_threads(cli);
-  options.coalesce_window_us = static_cast<unsigned>(require_long_in(
-      cli, "coalesce-us", static_cast<long>(options.coalesce_window_us), 0,
-      10'000'000));
   options.cache_capacity = static_cast<std::size_t>(require_long_in(
       cli, "cache-size", static_cast<long>(options.cache_capacity), 1, 1024));
   options.interpolant_knots = static_cast<std::size_t>(require_long_in(
@@ -729,9 +727,9 @@ int cmd_serve(const util::Cli& cli) {
   server.start();
   std::printf(
       "cntyield_cli %s serving on 127.0.0.1:%u (protocol v%u, %zu warm "
-      "sessions cached, %u us coalescing window, %zu-deep admission queue)\n",
+      "sessions cached, %zu-deep admission queue)\n",
       service::kVersionString, server.port(), service::kProtocolVersion,
-      options.cache_capacity, options.coalesce_window_us, options.max_queue);
+      options.cache_capacity, options.max_queue);
   if (options.metrics_listen) {
     std::printf("metrics: GET http://127.0.0.1:%u/metrics (OpenMetrics)\n",
                 server.metrics_port());
@@ -971,8 +969,7 @@ const std::map<std::string, std::vector<std::string>> kCommandFlags = {
     {"gen-lib", {"which", "out"}},
     {"gen-design", {"lib", "out", "instances"}},
     {"serve",
-     {"port", "threads", "coalesce-us", "cache-size", "knots", "max-queue",
-      "metrics-port"}},
+     {"port", "threads", "cache-size", "knots", "max-queue", "metrics-port"}},
     {"top",
      {"host", "port", "interval-ms", "count", "retries", "retry-base-ms",
       "seed"}},
