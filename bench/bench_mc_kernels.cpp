@@ -4,11 +4,18 @@
 // scaling the library up.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <vector>
+
+#include "celllib/generator.h"
 #include "cnt/count_distribution.h"
 #include "cnt/growth.h"
 #include "cnt/pf_kernel.h"
 #include "cnt/process.h"
 #include "exec/parallel_mc.h"
+#include "experiments/paper_params.h"
+#include "layout/row_placement.h"
+#include "netlist/design_generator.h"
 #include "rng/distributions.h"
 #include "rng/engine.h"
 #include "stats/bootstrap.h"
@@ -188,7 +195,44 @@ void BM_UnionConditionalMcThreads(benchmark::State& state) {
 BENCHMARK(BM_UnionConditionalMcThreads)
     ->Arg(1)
     ->Arg(2)
+    ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The directional probe of the canonical cold run_flow: the synthetic
+// OpenRISC-like design's 58 distinct windows at the uncorrelated W_min
+// (158.919452 nm), λ_s from the exact p_F there, 20,000 samples.
+struct CanonicalProbe {
+  double lambda_s = 0.0;
+  std::vector<geom::Interval> windows;
+
+  CanonicalProbe() {
+    constexpr double w = 158.919452;
+    const auto lib = celllib::make_nangate45_like();
+    const auto design = netlist::make_openrisc_like(lib);
+    for (const auto& o : layout::window_offsets(design, w)) {
+      windows.push_back({o.y, o.y + w});
+    }
+    lambda_s = -std::log(experiments::PaperParams{}.failure_model().p_f(w)) / w;
+  }
+};
+
+void BM_UnionConditionalMcCanonical(benchmark::State& state) {
+  static const CanonicalProbe probe;
+  const exec::McPolicy policy{static_cast<unsigned>(state.range(0)), 16};
+  rng::Xoshiro256 rng(7);
+  for (auto _ : state) {
+    const auto res = yield::union_conditional_mc(
+        probe.lambda_s, probe.windows, 20000, rng, policy);
+    benchmark::DoNotOptimize(res.estimate);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 20000);
+}
+BENCHMARK(BM_UnionConditionalMcCanonical)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -211,6 +255,7 @@ void BM_ChipYieldSimulationThreads(benchmark::State& state) {
 BENCHMARK(BM_ChipYieldSimulationThreads)
     ->Arg(1)
     ->Arg(2)
+    ->Arg(4)
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

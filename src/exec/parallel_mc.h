@@ -43,11 +43,15 @@ Partial parallel_mc_reduce(std::uint64_t n_samples, unsigned n_threads,
   // Shards land in stream-indexed slots regardless of which thread ran
   // them, and the merge below walks the slots in stream order — so the
   // result is a pure function of (seed_streams, n_samples), not scheduling.
+  // Each shard draws from a private copy of its stream: two 32-byte states
+  // share a cache line in `seed_streams`, and shards on different cores
+  // would otherwise write that line on every draw. The streams are
+  // discarded afterwards, so the copy changes no result bit.
   parallel_for(
       n, n_threads,
       [&](std::size_t i) {
-        partials[i] = kernel(static_cast<unsigned>(i), counts[i],
-                             seed_streams[i]);
+        rng::Xoshiro256 stream = seed_streams[i];
+        partials[i] = kernel(static_cast<unsigned>(i), counts[i], stream);
       },
       pool);
 

@@ -74,8 +74,12 @@ long sample_poisson(Xoshiro256& rng, double lambda) {
   if (lambda == 0.0) return 0;
   if (lambda > 30.0) {
     // Poisson additivity: split until inversion is numerically safe.
+    // The left half is drawn first, by statement order: the operands of
+    // `+` are evaluated in an unspecified order, and the draw order fixes
+    // every result bit.
     const double half = 0.5 * lambda;
-    return sample_poisson(rng, half) + sample_poisson(rng, lambda - half);
+    const long left = sample_poisson(rng, half);
+    return left + sample_poisson(rng, lambda - half);
   }
   // Knuth/inversion in the probability domain.
   const double limit = std::exp(-lambda);

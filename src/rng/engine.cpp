@@ -89,7 +89,7 @@ double Xoshiro256::uniform() {
 
 double Xoshiro256::uniform(double lo, double hi) {
   CNY_EXPECT(lo <= hi);
-  return lo + (hi - lo) * uniform();
+  return scale_uniform(lo, hi, uniform());
 }
 
 std::uint64_t Xoshiro256::uniform_index(std::uint64_t n) {

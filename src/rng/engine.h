@@ -6,6 +6,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 namespace cny::rng {
@@ -37,7 +38,7 @@ class Xoshiro256 {
   /// Uniform double in [0, 1) with 53 random bits.
   double uniform();
 
-  /// Uniform double in [lo, hi).
+  /// Uniform double in [lo, hi): scale_uniform(lo, hi, uniform()).
   double uniform(double lo, double hi);
 
   /// Uniform integer in [0, n); n >= 1.
@@ -48,6 +49,15 @@ class Xoshiro256 {
  private:
   std::array<std::uint64_t, 4> s_{};
 };
+
+/// Maps u in [0, 1) onto [lo, hi) as lo + (hi - lo) * u. Where that rounds
+/// up to hi (|lo| large next to hi - lo, u near 1) it returns the largest
+/// double below hi instead, so the result never leaves [lo, hi); lo == hi
+/// gives lo.
+[[nodiscard]] inline double scale_uniform(double lo, double hi, double u) {
+  const double y = lo + (hi - lo) * u;
+  return y < hi || lo == hi ? y : std::nextafter(hi, lo);
+}
 
 /// SplitMix64 step — also exposed for hashing experiment identifiers into
 /// per-experiment seeds.

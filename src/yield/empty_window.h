@@ -52,6 +52,15 @@ struct UnionMcResult {
 };
 
 /// Ross conditional MC for P(∪ empty) under Poisson statistics.
+/// Each sample's points fall into fixed cells over the windows' hull, each
+/// cell keeping its smallest and largest point; a window is answered from
+/// its two end cells and an occupancy prefix over the cells between them,
+/// with no sort. The cell count is ceil(2 · hull / shortest window), so a
+/// cell is at most half the shortest window, capped at twice the number
+/// of windows plus the expected points per sample (λ_s · |∪ windows|) and
+/// at 4096; a window whose ends share a cell (only past the cap) walks that
+/// cell's points. Every count is exact, so the result does not depend on
+/// the cell count.
 /// The `policy` shards the sample loop across RNG streams and threads (see
 /// exec/parallel_mc.h); the default runs the legacy serial loop on `rng`
 /// bit-for-bit. With n_streams > 1 the estimate is a function of

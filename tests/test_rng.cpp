@@ -45,6 +45,27 @@ TEST(Engine, UniformInUnitInterval) {
   }
 }
 
+TEST(Engine, ScaleUniformNeverReturnsHi) {
+  // The largest u, 1 - 2^-53, rounds 300 + 159 u up to 459 exactly; the
+  // helper returns the double just below instead.
+  const double u_max = 1.0 - 0x1.0p-53;
+  ASSERT_EQ(300.0 + (459.0 - 300.0) * u_max, 459.0);
+  EXPECT_EQ(scale_uniform(300.0, 459.0, u_max), std::nextafter(459.0, 0.0));
+  EXPECT_LT(scale_uniform(-459.0, -300.0, u_max), -300.0);
+  // Everywhere else it is lo + (hi - lo) u, bit for bit.
+  EXPECT_EQ(scale_uniform(0.0, 1.0, u_max), u_max);
+  EXPECT_EQ(scale_uniform(300.0, 459.0, 0.0), 300.0);
+  EXPECT_EQ(scale_uniform(300.0, 459.0, 0.5), 379.5);
+  EXPECT_EQ(scale_uniform(-1.0, 1.0, 0.25), -0.5);
+  EXPECT_EQ(scale_uniform(7.0, 7.0, 0.5), 7.0);
+  Xoshiro256 rng(3);
+  for (int i = 0; i < 10000; ++i) {
+    const double y = rng.uniform(1.0e16, 1.0e16 + 4.0);
+    EXPECT_GE(y, 1.0e16);
+    EXPECT_LT(y, 1.0e16 + 4.0);
+  }
+}
+
 TEST(Engine, UniformIndexBoundsAndCoverage) {
   Xoshiro256 rng(2);
   std::set<std::uint64_t> seen;
@@ -128,6 +149,19 @@ TEST(Distributions, PoissonSmallLambdaMatchesPmf) {
     const double observed = double(counts[static_cast<std::size_t>(k)]) / n;
     EXPECT_NEAR(observed, expected, 5.0 * std::sqrt(expected / n) + 1e-4)
         << "k=" << k;
+  }
+}
+
+TEST(Distributions, PoissonSplitDrawsItsHalvesInSequence) {
+  // λ = 61 splits into two λ = 30.5 leaves drawn one after the other: the
+  // same count, and the same engine state after, as two draws in sequence.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Xoshiro256 split(seed), sequence(seed);
+    const long whole = sample_poisson(split, 61.0);
+    const long first = sample_poisson(sequence, 30.5);
+    const long second = sample_poisson(sequence, 30.5);
+    EXPECT_EQ(whole, first + second) << "seed " << seed;
+    EXPECT_EQ(split.state(), sequence.state()) << "seed " << seed;
   }
 }
 
