@@ -3,18 +3,18 @@
 // TWO implementations, selected by a flag this binary parses before Google
 // Benchmark sees argv:
 //
-//   --mode=looped    the scalar reference kernel (every node update on
-//                    cnt::detail::pf_nodes_scalar), one call per width
-//   --mode=batched   (default) widths evaluated through pf_truncated_batch
-//                    / the interpolant build, on whichever backend the
-//                    platform dispatches to (AVX2 node lanes where the CPU
-//                    has them)
+//   --mode=looped      the scalar reference kernel (every node update on
+//                      cnt::detail::pf_nodes_scalar), one call per width
+//   --mode=dispatched  (default) widths evaluated through cnt::pf_truncated
+//                      / the interpolant build, on whichever backend the
+//                      platform dispatches to (AVX2 node lanes where the
+//                      CPU has them)
 //
 // Recording the same binary in both modes and diffing the JSONs with
 // tools/bench_compare.py measures exactly the backend win while holding
 // the benchmark harness constant; CI gates the headline pair (interpolant
 // build, Fig 2.1 sweep) with `--fail-above -35` plus inline ratio floors:
-// on an AVX2 host the batched mode must be ≥ 1.9x the looped mode on the
+// on an AVX2 host the dispatched mode must be ≥ 1.9x the looped mode on the
 // interpolant build and ≥ 1.5x on the Fig 2.1 sweep. Results are
 // bit-identical across modes (tests/test_kernels.cpp), so the diff is pure
 // speed.
@@ -25,18 +25,18 @@
 #include <string>
 #include <vector>
 
+#include "cnt/pf_kernel.h"
 #include "cnt/pf_kernel_internal.h"
 #include "cnt/pitch_model.h"
 #include "cnt/process.h"
 #include "device/failure_model.h"
 #include "kernels/dispatch.h"
-#include "kernels/pf_batch.h"
 
 namespace {
 
 using namespace cny;
 
-bool g_batched = true;  // --mode=; false = looped scalar reference shape
+bool g_dispatched = true;  // --mode=; false = looped scalar reference
 
 /// The looped mode's kernel: the scalar reference for one width (> 0).
 double pf_reference(const cnt::PitchModel& pitch, double w, double z) {
@@ -45,27 +45,22 @@ double pf_reference(const cnt::PitchModel& pitch, double w, double z) {
       .value;
 }
 
-/// One result vector, both shapes: the looped mode is the scalar reference
-/// kernel, one call per width.
+/// One result per width, one kernel call each: the dispatched kernel, or
+/// in the looped mode the scalar reference.
 std::vector<double> eval_widths(const cnt::PitchModel& pitch,
                                 const std::vector<double>& widths, double z) {
   std::vector<double> out;
   out.reserve(widths.size());
-  if (g_batched) {
-    for (const auto& r : kernels::pf_truncated_batch(pitch, widths, z)) {
-      out.push_back(r.value);
-    }
-  } else {
-    for (double w : widths) {
-      out.push_back(pf_reference(pitch, w, z));
-    }
+  for (double w : widths) {
+    out.push_back(g_dispatched ? cnt::pf_truncated(pitch, w, z).value
+                               : pf_reference(pitch, w, z));
   }
   return out;
 }
 
 // --- headline pair 1: the interpolant build ---------------------------------
 // 65 exact kernel evaluations over the solver bracket — the dominant
-// fixed cost of every interpolated flow. The batched mode is the real
+// fixed cost of every interpolated flow. The dispatched mode is the real
 // FailureModel::enable_interpolation path on one thread; the looped mode
 // evaluates the same geometric knot grid with the scalar reference, one
 // call per knot.
@@ -74,7 +69,7 @@ void BM_InterpolantBuild(benchmark::State& state) {
   const auto proc = cnt::fig21_mid();
   constexpr std::size_t kKnots = 65;
   for (auto _ : state) {
-    if (g_batched) {
+    if (g_dispatched) {
       const device::FailureModel model(pitch, proc);
       model.enable_interpolation(4.0, 400.0, kKnots, 1);
       benchmark::DoNotOptimize(model.interpolation_covers(155.0));
@@ -137,10 +132,10 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--mode=", 0) == 0) {
       const std::string mode = arg.substr(7);
-      if (mode == "looped" || mode == "batched") {
-        g_batched = mode == "batched";
+      if (mode == "looped" || mode == "dispatched") {
+        g_dispatched = mode == "dispatched";
       } else {
-        std::fprintf(stderr, "--mode must be 'looped' or 'batched'\n");
+        std::fprintf(stderr, "--mode must be 'looped' or 'dispatched'\n");
         return 2;
       }
     } else {
@@ -148,7 +143,7 @@ int main(int argc, char** argv) {
     }
   }
   argc = kept;
-  std::printf("mode: %s, backend: %s\n", g_batched ? "batched" : "looped",
+  std::printf("mode: %s, backend: %s\n", g_dispatched ? "dispatched" : "looped",
               cny::kernels::backend_name());
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -1,6 +1,6 @@
 // Internals of the truncated-PGF kernel, shared between the term loop
-// (pf_kernel.cpp), its AVX2 node pass (src/kernels/pf_nodes_avx2.cpp) and
-// the batch entry point (src/kernels/pf_batch.cpp). The split exists for
+// (pf_kernel.cpp) and its AVX2 node pass (src/kernels/pf_nodes_avx2.cpp).
+// `pf_truncated` is the one entry point to p_F. The split exists for
 // one reason: bit-identity. The width-dependent setup (quadrature grid,
 // truncation point, normalising mass, ladder seeds) and the term loop
 // (truncation, eps, Γ-ratio, reciprocal table, the ordered node sum) exist

@@ -6,7 +6,6 @@
 
 #include "cnt/pf_kernel.h"
 #include "exec/thread_pool.h"
-#include "kernels/pf_batch.h"
 #include "util/contracts.h"
 
 namespace cny::device {
@@ -84,72 +83,6 @@ double FailureModel::p_f_exact(double width, unsigned n_threads) const {
   return value;
 }
 
-std::vector<double> FailureModel::p_f_exact_batch(
-    std::span<const double> widths) const {
-  std::vector<double> out(widths.size());
-  // Memo probe for the whole batch under one shared lock; the misses are
-  // evaluated in one kernel batch call. Batch evaluation is
-  // bit-identical to per-width pf_truncated (the kernels contract), so a
-  // width computes to the same bytes whichever call pattern filled the
-  // memo first.
-  std::vector<std::size_t> miss;
-  {
-    const std::shared_lock<std::shared_mutex> lock(memo_mutex_);
-    for (std::size_t i = 0; i < widths.size(); ++i) {
-      CNY_EXPECT(widths[i] >= 0.0);
-      if (const auto it = memo_find(memo_, widths[i]);
-          it != memo_.end() && it->first == widths[i]) {
-        out[i] = it->second;
-      } else {
-        miss.push_back(i);
-      }
-    }
-  }
-  if (miss.empty()) return out;
-  std::vector<double> miss_w(miss.size());
-  for (std::size_t j = 0; j < miss.size(); ++j) miss_w[j] = widths[miss[j]];
-  const auto results =
-      kernels::pf_truncated_batch(pitch_, miss_w, process_.p_fail());
-  const std::unique_lock<std::shared_mutex> lock(memo_mutex_);
-  for (std::size_t j = 0; j < miss.size(); ++j) {
-    out[miss[j]] = results[j].value;
-    if (const auto it = memo_find(memo_, miss_w[j]);
-        it == memo_.end() || it->first != miss_w[j]) {
-      memo_.insert(it, {miss_w[j], results[j].value});
-    }
-  }
-  return out;
-}
-
-std::vector<double> FailureModel::p_f_batch(
-    std::span<const double> widths) const {
-  // Split by interpolant coverage exactly as per-width p_f() would, so
-  // each output is bit-identical to the scalar call.
-  std::shared_ptr<const LogPfInterp> interp;
-  if (has_interp_.load(std::memory_order_relaxed)) {
-    interp = interp_.load(std::memory_order_acquire);
-  }
-  std::vector<double> out(widths.size());
-  std::vector<std::size_t> exact_idx;
-  std::vector<double> exact_w;
-  for (std::size_t i = 0; i < widths.size(); ++i) {
-    CNY_EXPECT(widths[i] >= 0.0);
-    if (interp && widths[i] >= interp->w_lo && widths[i] <= interp->w_hi) {
-      out[i] = std::exp(interp->log_pf(widths[i]));
-    } else {
-      exact_idx.push_back(i);
-      exact_w.push_back(widths[i]);
-    }
-  }
-  if (!exact_idx.empty()) {
-    const auto exact = p_f_exact_batch(exact_w);
-    for (std::size_t j = 0; j < exact_idx.size(); ++j) {
-      out[exact_idx[j]] = exact[j];
-    }
-  }
-  return out;
-}
-
 void FailureModel::enable_interpolation(double w_lo, double w_hi,
                                         std::size_t knots,
                                         unsigned n_threads) const {
@@ -176,7 +109,7 @@ void FailureModel::enable_interpolation(double w_lo, double w_hi,
   // fills the AVX2 lanes on its own.
   exec::parallel_for(knots, n_threads, [&](std::size_t p) {
     const std::size_t i = knots - 1 - p;
-    ys[i] = std::log(p_f_exact_batch({&xs[i], 1})[0]);
+    ys[i] = std::log(p_f_exact(xs[i]));
   });
   auto built = std::make_shared<const LogPfInterp>(
       LogPfInterp{w_lo, w_hi, numeric::MonotoneCubic(std::move(xs), std::move(ys))});

@@ -14,7 +14,6 @@
 #include <atomic>
 #include <memory>
 #include <shared_mutex>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -59,23 +58,11 @@ class FailureModel {
   /// and thread-safe.
   [[nodiscard]] double p_f_exact(double width, unsigned n_threads = 1) const;
 
-  /// Batched p_f(): one result per width, each bit-identical to the
-  /// corresponding scalar p_f(width) call. Interpolant-covered widths read
-  /// the table; the remaining exact evaluations of one call go to one
-  /// kernels::pf_truncated_batch call, then land in the memo as usual.
-  [[nodiscard]] std::vector<double> p_f_batch(
-      std::span<const double> widths) const;
-
-  /// Batched p_f_exact(): the same batch evaluation with the interpolant
-  /// bypassed for every width.
-  [[nodiscard]] std::vector<double> p_f_exact_batch(
-      std::span<const double> widths) const;
-
   /// Builds (first call) a monotone-cubic interpolant of log p_F over
   /// geometrically spaced knots in [w_lo, w_hi] and routes subsequent
   /// in-range p_f() queries through it. One table build (`knots` exact
   /// evaluations, parallelised over `n_threads`) replaces the per-strategy
-  /// per-design re-evaluation cost in batched flows; geometric spacing
+  /// per-design re-evaluation cost in warm sessions; geometric spacing
   /// concentrates knots at small W, where the exact evaluation is cheap and
   /// log p_F actually curves. Thread-safe and idempotent: later calls with
   /// a range already covered are no-ops, and readers racing the build
@@ -119,7 +106,7 @@ class FailureModel {
   cnt::PitchModel pitch_;
   cnt::ProcessParams process_;
   /// Interpolant snapshot, swapped in atomically so the hottest read path
-  /// (in-range p_f under the batch flows) takes no lock whatsoever.
+  /// (in-range p_f in warm sessions) takes no lock whatsoever.
   /// `has_interp_` fronts it: a relaxed bool load keeps the no-interpolant
   /// p_f() fast path from paying the shared_ptr atomic (which libstdc++
   /// backs with a spinlock pool) on every memoised query.

@@ -6,8 +6,9 @@
 // (kernels/pf_nodes_avx2.cpp). The rule is fixed by the platform, never by
 // the caller: the AVX2 pass runs exactly when it was compiled in AND the
 // CPU reports AVX2 (CPUID, probed once per process), on every grid with a
-// prefactored path (cnt::detail::pf_node_pass). A -DCNY_SIMD=OFF build —
-// what non-x86 hosts run — never compiles the AVX2 objects.
+// prefactored path (cnt::detail::pf_node_pass, reached by every p_F query
+// through cnt::pf_truncated). A -DCNY_SIMD=OFF build — what non-x86 hosts
+// run — never compiles the AVX2 objects.
 //
 // Every backend is bit-identical to the scalar reference (pinned in
 // tests/test_pf_kernel.cpp and tests/test_kernels.cpp and, end to end, by

@@ -1,21 +1,10 @@
-// Batch-of-widths p_F evaluation.
+// Header-only shim kept for perfbench/campaign_sweep.cpp alone.
 //
-// Consumers that ask for many widths against one pitch model and one z —
-// the interpolant builder, merged spectra, the benchmarks — call
-// `pf_truncated_batch`. It runs one single-width query per width, in
-// order, on the calling thread: each query's node loop already fills the
-// AVX2 lanes (four adjacent quadrature nodes per register, see
-// cnt/pf_kernel.h), so there is nothing left to pack across widths.
-//
-// Bit-identity contract (pinned in tests/test_kernels.cpp): for every
-// backend and every batch composition,
-//
-//   pf_truncated_batch(pitch, widths, z, tol)[i]
-//     == pf_truncated(pitch, widths[i], z, tol)      (all three fields,
-//                                                     exact bits)
-//
-// and both equal the scalar reference, so batching — like the backend and
-// the thread count — is purely a speed knob.
+// The library asks for p_F one width at a time (cnt::pf_truncated, or
+// device::FailureModel::p_f / p_f_exact); there is no batch path. This
+// loop exists only so the repository benchmark still builds unchanged, and
+// goes away with the benchmark change that stops calling it (ROADMAP item
+// 5). Nothing in src/, tools/, tests/, bench/ or examples/ may call it.
 #pragma once
 
 #include <span>
@@ -26,13 +15,16 @@
 
 namespace cny::kernels {
 
-/// Evaluates E[z^N(W)] for every width in `widths` (each >= 0, z in [0,1])
-/// against one pitch model. Result i corresponds to widths[i] and is
-/// bit-identical to cnt::pf_truncated(pitch, widths[i], z, rel_tol).
-/// Backend selection follows dispatch.h; widths on the wide-window
-/// gamma_q fallback path (W/θ >= 650) always take the scalar node update.
-[[nodiscard]] std::vector<cnt::PfKernelResult> pf_truncated_batch(
+/// cnt::pf_truncated(pitch, widths[i], z, rel_tol) for each width, in order.
+[[nodiscard]] inline std::vector<cnt::PfKernelResult> pf_truncated_batch(
     const cnt::PitchModel& pitch, std::span<const double> widths, double z,
-    double rel_tol = 1e-14);
+    double rel_tol = 1e-14) {
+  std::vector<cnt::PfKernelResult> out;
+  out.reserve(widths.size());
+  for (const double w : widths) {
+    out.push_back(cnt::pf_truncated(pitch, w, z, rel_tol));
+  }
+  return out;
+}
 
 }  // namespace cny::kernels

@@ -40,17 +40,9 @@ YieldBreakdown circuit_yield(const WidthSpectrum& spectrum,
 
   YieldBreakdown out;
   out.min_width = merged.begin()->first;
-  // One batched p_F query over the distinct widths (ascending map order);
-  // the accumulation below runs in that same order, so the result is
-  // bit-identical to the historical evaluate-in-the-loop form.
-  std::vector<double> widths;
-  widths.reserve(merged.size());
-  for (const auto& [w, n] : merged) widths.push_back(w);
-  const std::vector<double> pfs = model.p_f_batch(widths);
   double log_yield = 0.0;
-  std::size_t i = 0;
   for (const auto& [w, n] : merged) {
-    const double pf = pfs[i++];
+    const double pf = model.p_f(w);
     out.sum_pf += pf * static_cast<double>(n);
     log_yield += static_cast<double>(n) * std::log1p(-pf);
   }

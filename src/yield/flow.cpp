@@ -276,10 +276,12 @@ FlowResult run_flow(const celllib::Library& lib,
   // directional, aligned 1 row, aligned 2 rows), so the error a caller
   // sees does not depend on scheduling either.
   //
-  // Every solve opens on the same start pair. It is evaluated once, in
-  // one batch call, before the solves fork, so concurrent solves never
-  // race to compute the same exact p_F.
-  (void)model.p_f_batch(start_pair(bracket.w_lo, bracket.w_hi));
+  // Every solve opens on the same start pair. It is evaluated once, at
+  // budget 1, before the solves fork, so concurrent solves never race to
+  // compute the same exact p_F.
+  for (const double w : start_pair(bracket.w_lo, bracket.w_hi)) {
+    (void)model.p_f(w);
+  }
 
   WminResult base;
   double dir_relax = 1.0;

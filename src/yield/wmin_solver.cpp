@@ -36,8 +36,8 @@ double invert(const device::FailureModel& model, double p_f_target,
   const double target = std::log(p_f_target);
   if (trail.empty()) {
     const auto pair = start_pair(w_lo, w_hi);
-    const auto pf = model.p_f_batch(pair);
-    trail = {{pair[0], std::log(pf[0])}, {pair[1], std::log(pf[1])}};
+    trail = {{pair[0], std::log(model.p_f(pair[0]))},
+             {pair[1], std::log(model.p_f(pair[1]))}};
   }
   CNY_EXPECT_MSG(trail.front().log_pf >= target,
                  "W bracket too high: p_F(w_lo) below target");

@@ -1,13 +1,14 @@
-// Pins for the kernel-backend layer (src/kernels/): the batched p_F
-// evaluator must be *bit-identical* to its scalar reference on every
+// Pins for the kernel-backend layer (src/kernels/): the dispatched p_F
+// kernel must be *bit-identical* to its scalar reference on every
 // backend, and a full run_flow response must hash to one golden value in
 // every build (CI runs this suite in the default AVX2 build and in a
 // -DCNY_SIMD=OFF build). These tests are the contract that makes the
-// backend and batching pure speed matters.
+// backend a pure speed matter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -24,7 +25,6 @@
 #include "cnt/process.h"
 #include "geom/interval.h"
 #include "kernels/dispatch.h"
-#include "kernels/pf_batch.h"
 #include "obs/metrics.h"
 #include "rng/distributions.h"
 #include "rng/engine.h"
@@ -34,7 +34,6 @@
 namespace {
 
 using cny::cnt::PitchModel;
-using cny::kernels::pf_truncated_batch;
 
 std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
 
@@ -48,28 +47,27 @@ cny::cnt::PfKernelResult reference(const PitchModel& pitch, double width,
                                     &cny::cnt::detail::pf_nodes_scalar);
 }
 
-/// Exact-bits comparison of a batch against the per-width scalar
-/// reference.
-void expect_batch_matches_scalar(const PitchModel& pitch,
-                                 const std::vector<double>& widths, double z,
-                                 double rel_tol) {
-  const auto batch = pf_truncated_batch(pitch, widths, z, rel_tol);
-  ASSERT_EQ(batch.size(), widths.size());
+/// Exact-bits comparison of the dispatched kernel, one query per width,
+/// against the scalar reference. Runs on every backend: on a scalar one
+/// it pins the short-circuits and the default budget.
+void expect_widths_match_scalar(const PitchModel& pitch,
+                                const std::vector<double>& widths, double z,
+                                double rel_tol) {
   for (std::size_t i = 0; i < widths.size(); ++i) {
+    const auto got = cny::cnt::pf_truncated(pitch, widths[i], z, rel_tol);
     const auto ref = reference(pitch, widths[i], z, rel_tol);
-    EXPECT_EQ(bits_of(batch[i].value), bits_of(ref.value))
+    EXPECT_EQ(bits_of(got.value), bits_of(ref.value))
         << "value width " << i << " w=" << widths[i] << " z=" << z
         << " backend=" << cny::kernels::backend_name();
-    EXPECT_EQ(batch[i].terms, ref.terms)
+    EXPECT_EQ(got.terms, ref.terms)
         << "terms width " << i << " w=" << widths[i] << " z=" << z;
-    EXPECT_EQ(bits_of(batch[i].remainder_bound), bits_of(ref.remainder_bound))
+    EXPECT_EQ(bits_of(got.remainder_bound), bits_of(ref.remainder_bound))
         << "remainder width " << i << " w=" << widths[i] << " z=" << z;
   }
 }
 
-// The width sets exercise batch compositions: sizes 1, 2, 4 and 7,
-// sub-mean-pitch widths, zero-width specials mid-batch, and a spread wide
-// enough to give the widths very different truncation points.
+// The width sets: sub-mean-pitch widths, zero widths mid-list, and a
+// spread wide enough to give the widths very different truncation points.
 const std::vector<std::vector<double>> kWidthSets = {
     {20.0, 36.0, 52.0, 68.0},                    // close together
     {8.0, 155.0},                                // far apart
@@ -85,7 +83,7 @@ TEST(PfBatch, BitIdenticalToScalarAcrossPitchesWidthsAndZ) {
     const PitchModel pitch(4.0, cv);
     for (const auto& widths : kWidthSets) {
       for (double z : {0.0, 0.2, 0.531, 0.9, 1.0}) {
-        expect_batch_matches_scalar(pitch, widths, z, 1e-14);
+        expect_widths_match_scalar(pitch, widths, z, 1e-14);
       }
     }
   }
@@ -94,13 +92,13 @@ TEST(PfBatch, BitIdenticalToScalarAcrossPitchesWidthsAndZ) {
 TEST(PfBatch, ExtremeTolerancesAndWideWindowFallback) {
   const PitchModel pitch(4.0, 0.9);
   for (double rel_tol : {1e-4, 1e-15}) {
-    expect_batch_matches_scalar(pitch, {12.0, 47.0, 90.0, 130.0}, 0.7,
-                                rel_tol);
+    expect_widths_match_scalar(pitch, {12.0, 47.0, 90.0, 130.0}, 0.7,
+                               rel_tol);
   }
   // width/θ ≥ 650 (θ = 4·0.81 = 3.24 → width ≥ 2106) rides the gamma_q
   // fallback, which runs the scalar node update on every backend.
-  expect_batch_matches_scalar(pitch, {2200.0, 30.0, 2500.0, 45.0}, 0.5,
-                              1e-12);
+  expect_widths_match_scalar(pitch, {2200.0, 30.0, 2500.0, 45.0}, 0.5,
+                             1e-12);
 }
 
 TEST(Dispatch, ReportsConsistentState) {
@@ -200,7 +198,7 @@ TEST(McKernels, ChipYieldBitEqualAcrossThreads) {
 
 TEST(Kernels, RunFlowResponseMatchesGoldenHashOnEveryBackend) {
   // The end-to-end backend pin: a full run_flow — solver iterations,
-  // interpolant build, batched bracket queries, conditional MC — must
+  // interpolant build, start-pair queries, conditional MC — must
   // produce the *same bytes* on the wire whichever backend ran the
   // kernels. The AVX2 build and the -DCNY_SIMD=OFF build must both hash to
   // this constant. A drift of a few ulp in one width's p_F can round away
@@ -223,69 +221,34 @@ TEST(Kernels, RunFlowResponseMatchesGoldenHashOnEveryBackend) {
       << encoded;
 }
 
-// Batch accounting must balance: every non-degenerate width in a batch is
-// counted exactly once, as an AVX2-pass width or a scalar width — on
-// *both* backends (the scalar build books everything scalar). These
-// widths are all prefactored, so an AVX2 CPU runs every one on lanes.
-TEST(Kernels, LaneOccupancyCountersBalanceOnEveryBackend) {
-  auto& registry = cny::obs::Registry::global();
-  const PitchModel pitch(4.0, 0.9);
-  const std::vector<double> widths{20.0, 36.0, 52.0, 68.0, 84.0,
-                                   100.0, 116.0};  // no degenerate entries
-
-  const auto before = registry.snapshot();
-  const auto counter = [&before](const char* name) {
-    for (const auto& [n, v] : before.counters) {
-      if (n == name) return v;
-    }
-    return std::uint64_t{0};
-  };
-  const std::uint64_t calls0 = counter("kernels.pf_batch_calls");
-  const std::uint64_t widths0 = counter("kernels.pf_batch_widths");
-  const std::uint64_t lanes0 = counter("kernels.pf_simd_lanes");
-  const std::uint64_t scalar0 = counter("kernels.pf_scalar_widths");
-
-  (void)pf_truncated_batch(pitch, widths, 0.531, 1e-12);
-
-  EXPECT_EQ(registry.counter("kernels.pf_batch_calls").value(), calls0 + 1);
-  EXPECT_EQ(registry.counter("kernels.pf_batch_widths").value(),
-            widths0 + widths.size());
-  const std::uint64_t lanes =
-      registry.counter("kernels.pf_simd_lanes").value() - lanes0;
-  const std::uint64_t scalar =
-      registry.counter("kernels.pf_scalar_widths").value() - scalar0;
-  EXPECT_EQ(lanes + scalar, widths.size())
-      << "backend=" << cny::kernels::backend_name();
-  EXPECT_EQ(lanes, cny::kernels::simd_supported() ? widths.size() : 0u)
-      << "backend=" << cny::kernels::backend_name();
-}
-
 // The 65-knot session table's kernel work is a pure function of the knot
-// count: one single-knot batch call per knot, widest first, at every
-// thread count. With AVX2 every knot runs the node-lane pass (all are
-// prefactored); a scalar backend books all 65 knots scalar.
+// count: one exact query per knot, at every thread count. With AVX2 every
+// knot runs the node-lane pass (all are prefactored).
 TEST(Kernels, InterpolantBuildWorkCountIsPinned) {
-  auto& registry = cny::obs::Registry::global();
-  const auto value = [&registry](const char* name) {
-    return registry.counter(name).value();
-  };
+  const PitchModel pitch(4.0, 0.9);
+  constexpr double kLo = 4.0;
+  constexpr double kHi = 400.0;
+  constexpr std::size_t kKnots = 65;
+  auto& calls = cny::obs::Registry::global().counter("cnt.pf_scalar_calls");
   for (const unsigned threads : {1u, 4u}) {
-    const std::uint64_t calls0 = value("kernels.pf_batch_calls");
-    const std::uint64_t widths0 = value("kernels.pf_batch_widths");
-    const std::uint64_t lanes0 = value("kernels.pf_simd_lanes");
-    const std::uint64_t scalar0 = value("kernels.pf_scalar_widths");
-    const cny::device::FailureModel model(PitchModel(4.0, 0.9),
-                                          cny::cnt::fig21_mid());
-    model.enable_interpolation(4.0, 400.0, 65, threads);
-    EXPECT_EQ(value("kernels.pf_batch_calls") - calls0, 65u) << threads;
-    EXPECT_EQ(value("kernels.pf_batch_widths") - widths0, 65u) << threads;
-    const bool lanes = cny::kernels::simd_supported();
-    EXPECT_EQ(value("kernels.pf_simd_lanes") - lanes0, lanes ? 65u : 0u)
-        << "threads=" << threads
-        << " backend=" << cny::kernels::backend_name();
-    EXPECT_EQ(value("kernels.pf_scalar_widths") - scalar0, lanes ? 0u : 65u)
-        << "threads=" << threads
-        << " backend=" << cny::kernels::backend_name();
+    const std::uint64_t calls0 = calls.value();
+    const cny::device::FailureModel model(pitch, cny::cnt::fig21_mid());
+    model.enable_interpolation(kLo, kHi, kKnots, threads);
+    EXPECT_EQ(calls.value() - calls0, kKnots) << "threads=" << threads;
+  }
+  if (!cny::kernels::simd_supported()) return;
+  // The knot positions enable_interpolation builds; the node pass is
+  // either pf_nodes_scalar or the AVX2 one.
+  for (std::size_t i = 0; i < kKnots; ++i) {
+    const double x =
+        i + 1 == kKnots
+            ? kHi
+            : kLo * std::pow(kHi / kLo, static_cast<double>(i) /
+                                            static_cast<double>(kKnots - 1));
+    const auto grid = cny::cnt::detail::pf_setup(pitch, x);
+    EXPECT_NE(cny::cnt::detail::pf_node_pass(grid),
+              &cny::cnt::detail::pf_nodes_scalar)
+        << "knot " << i << " w=" << x;
   }
 }
 
