@@ -9,6 +9,7 @@
 
 #include "celllib/generator.h"
 #include "cnt/count_distribution.h"
+#include "cnt/count_pgf.h"
 #include "cnt/growth.h"
 #include "cnt/pf_kernel.h"
 #include "cnt/process.h"
@@ -26,11 +27,12 @@ namespace {
 
 using namespace cny;
 
-// --- analytic p_F kernels (cnt/pf_kernel.h) --------------------------------
-// The same quantity two ways: the full-PMF path (materialise the whole
-// count distribution, then form the PGF) vs the truncated node-major
-// kernel. Same quadrature grid, results agree to ≤1e-12 relative; the gap
-// is the point of the kernel and grows with W.
+// --- analytic p_F evaluators ------------------------------------------------
+// The same quantity three ways: the full-PMF path (materialise the whole
+// count distribution, then form the PGF), the truncated node-major
+// quadrature kernel (cnt/pf_kernel.h, the test reference; same grid, agrees
+// to ≤1e-12 relative) and the residue evaluator the library runs
+// (cnt/count_pgf.h).
 
 void BM_PfExact(benchmark::State& state) {
   const cnt::PitchModel pitch(4.0, 0.9);
@@ -61,24 +63,21 @@ BENCHMARK(BM_PfTruncated)
     ->Arg(800)
     ->Unit(benchmark::kMillisecond);
 
-// One query with its node loop sharded across `threads` (range(1)) —
-// the cold exact flow's single-width p_F. Wall time, since the work runs
-// on pool threads.
-void BM_PfTruncatedThreads(benchmark::State& state) {
-  const cnt::PitchModel pitch(4.0, 0.9);
+// The evaluator every p_F query runs (cnt/count_pgf.h): residues plus one
+// branch-cut integral, at the paper's pitch CV and on either side of it
+// (range(1) = CV x 10). Microseconds per query, independent of W.
+void BM_PfResidues(benchmark::State& state) {
+  const cnt::PitchModel pitch(4.0, static_cast<double>(state.range(1)) / 10.0);
   const double z = cnt::fig21_worst().p_fail();
   const double w = static_cast<double>(state.range(0));
-  const auto threads = static_cast<unsigned>(state.range(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cnt::pf_truncated(pitch, w, z, 1e-14, threads).value);
+    benchmark::DoNotOptimize(cnt::count_pgf(pitch, w, z));
   }
 }
-BENCHMARK(BM_PfTruncatedThreads)
-    ->ArgNames({"w", "threads"})
-    ->ArgsProduct({{155, 400}, {1, 4}})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PfResidues)
+    ->ArgNames({"w", "cv10"})
+    ->ArgsProduct({{155, 500, 800}, {5, 9, 20}})
+    ->Unit(benchmark::kMicrosecond);
 
 // The Poisson-shape special case (integer Gamma shape k = 1), where the
 // truncated kernel steps Q(nk, x) with an exact recurrence: each extra PMF

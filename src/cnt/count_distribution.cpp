@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "cnt/pf_kernel.h"
 #include "numeric/integrate.h"
 #include "numeric/special.h"
 #include "util/contracts.h"
@@ -132,11 +131,6 @@ double CountDistribution::pgf(double z) const {
     zn *= z;
   }
   return acc;
-}
-
-double CountDistribution::pgf_at(const PitchModel& pitch, double width,
-                                 double z) {
-  return pf_truncated(pitch, width, z).value;
 }
 
 }  // namespace cny::cnt

@@ -43,15 +43,6 @@ class CountDistribution {
   /// pgf(p_f) is exactly the CNFET failure probability of eq. (2.2).
   [[nodiscard]] double pgf(double z) const;
 
-  /// E[z^N(width)] without materialising the PMF: a named convenience
-  /// wrapper over cnt::pf_truncated (cnt/pf_kernel.h — the kernel
-  /// device::FailureModel::p_f_exact calls directly), which agrees with
-  /// pgf(z) of a constructed distribution to ≤1e-12 relative while
-  /// costing O(p_f·W/μ_S) terms on cached quadrature nodes instead of
-  /// O(W/μ_S + 12σ) double quadratures.
-  [[nodiscard]] static double pgf_at(const PitchModel& pitch, double width,
-                                     double z);
-
   /// Total PMF mass (should be 1 up to quadrature error; exposed for tests).
   [[nodiscard]] double total_mass() const { return total_; }
 

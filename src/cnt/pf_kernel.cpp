@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <optional>
+#include <cstddef>
 #include <vector>
 
-#include "cnt/pf_kernel_internal.h"
-#include "exec/thread_pool.h"
-#include "kernels/dispatch.h"
 #include "numeric/integrate.h"
 #include "numeric/special.h"
 #include "obs/metrics.h"
@@ -41,22 +37,40 @@ inline double p_series_sum(double x, double eps, const double* inv_shape,
   return sum;
 }
 
-/// Nodes per shard of a term's node loop when it runs on several threads:
-/// ~20 shards on the widths the solvers query (2–3k nodes), so uneven
-/// series lengths still balance across threads. A multiple of the AVX2
-/// pass's 8-node block, so only a grid's last shard can end in a part
-/// block.
-constexpr std::size_t kShardNodes = 128;
+/// Same tail floor as count_distribution.cpp — the two paths must truncate
+/// the quadrature domain and the PMF support identically to agree to 1e-12.
+constexpr double kTailEps = 1e-22;
 
-}  // namespace
+/// The integer-shape ladder is seeded at τ(0) = e^{-x}; past x ≈ 650 the
+/// seed risks flushing to zero before the recurrence can climb out of the
+/// denormals, so wider windows fall back to the per-node gamma_q path.
+constexpr double kLadderMaxX = 650.0;
 
-namespace detail {
+/// Everything about one width that does not depend on z or rel_tol: the
+/// node-major quadrature grid, the PMF truncation point, the normalising
+/// mass, and the shape-ladder seeds.
+struct PfGrid {
+  double k = 0.0;          ///< pitch shape
+  std::vector<double> xs;  ///< per node: x = (W - u)/θ
+  std::vector<double> fw;  ///< per node: GL-weight · f_e(u)
+  double p0 = 0.0;         ///< P{N = 0} quadrature value
+  double mass_tail = 0.0;  ///< quadrature mass of Σ_{n=1}^{n_stop} pₙ
+  double total = 0.0;      ///< p0 + mass_tail (the normaliser)
+  long n_stop = 0;         ///< PMF support truncation point
+  bool prefactored = false;  ///< width/θ < kLadderMaxX: τ ladder usable
+  bool ladder = false;       ///< integer shape: exact Q(a+1)=Q(a)+τ ladder
+  long k_int = 0;            ///< rounded shape (ladder path step count)
+  std::vector<double> tau0;  ///< τ seeds e^{-x} per node (prefactored only)
+  std::vector<double> xk;    ///< x^k per node (non-integer prefactored only)
+  std::size_t inv_len = 0;   ///< reciprocal-table length (non-integer only)
+};
 
+/// Builds the grid for one width (> 0). Throws via CNY_ENSURE when the
+/// quadrature mass deviates from 1.
 PfGrid pf_setup(const PitchModel& pitch, double width) {
   PfGrid grid;
-  grid.width = width;
   const double k = grid.k = pitch.shape();
-  const double theta = grid.theta = pitch.scale();
+  const double theta = pitch.scale();
   const double mu = pitch.mean();
 
   grid.p0 = std::max(0.0, 1.0 - pitch.equilibrium_cdf(width));
@@ -158,61 +172,10 @@ PfGrid pf_setup(const PitchModel& pitch, double width) {
   return grid;
 }
 
-void pf_nodes_scalar(const PfNodes& nodes, const PfTermStep& step,
-                     std::size_t begin, std::size_t end) {
-  const double* xs = nodes.x;
-  double* tau = nodes.tau;
-  double* d = nodes.d;
-  if (step.ladder_steps > 0) {
-    for (std::size_t j = begin; j < end; ++j) {
-      const double x = xs[j];
-      double t = tau[j];
-      double dq = 0.0;
-      for (long s = 0; s < step.ladder_steps; ++s) {
-        dq += t;
-        t *= x / (step.shape + static_cast<double>(s) + 1.0);
-      }
-      tau[j] = t;
-      d[j] = dq;
-    }
-    return;
-  }
-  double* q_prev = nodes.q_prev;
-  for (std::size_t j = begin; j < end; ++j) {
-    const double x = xs[j];
-    double q_hi;
-    if (step.prefactored) {
-      tau[j] *= nodes.xk[j] * step.rho;
-      // x < a+1 runs the table-backed series; past the split,
-      // gamma_q_prefactored takes its continued-fraction branch.
-      q_hi = x < step.a_hi + 1.0
-                 ? 1.0 - tau[j] * p_series_sum(x, step.eps, step.inv,
-                                               step.inv_len)
-                 : numeric::gamma_q_prefactored(step.a_hi, x, tau[j],
-                                                step.eps);
-    } else {
-      q_hi = gamma_q(step.a_hi, x);
-    }
-    const double diff = q_hi - q_prev[j];
-    q_prev[j] = q_hi;
-    d[j] = diff > 0.0 ? diff : 0.0;
-  }
-}
-
-PfNodePass pf_node_pass(const PfGrid& grid) {
-#if defined(CNY_SIMD)
-  if (grid.prefactored && kernels::simd_supported()) {
-    return &kernels::detail::pf_nodes_avx2;
-  }
-#else
-  (void)grid;
-#endif
-  return &pf_nodes_scalar;
-}
-
-PfKernelResult pf_terms(const PfGrid& grid, double z, double rel_tol,
-                        PfNodePass pass, exec::Fork* fork) {
+/// The term loop over a prebuilt grid.
+PfKernelResult pf_terms(const PfGrid& grid, double z, double rel_tol) {
   const std::size_t n_nodes = grid.xs.size();
+  const std::vector<double>& xs = grid.xs;
   const std::vector<double>& fw = grid.fw;
   const double k = grid.k;
   const long n_stop = grid.n_stop;
@@ -233,18 +196,7 @@ PfKernelResult pf_terms(const PfGrid& grid, double z, double rel_tol,
   std::vector<double> q_prev(grid.ladder ? 0 : n_nodes, 0.0);  // Q(0,·) := 0
   std::vector<double> tau = grid.tau0;  // empty on the gamma_q path
   std::vector<double> inv_shape(grid.inv_len);
-  std::vector<double> node_d(n_nodes);
-  const PfNodes nodes{grid.xs.data(), grid.xk.data(), tau.data(),
-                      q_prev.data(), node_d.data()};
-  PfTermStep step;
-  step.ladder_steps = grid.ladder ? grid.k_int : 0;
-  step.prefactored = grid.prefactored;
-  step.inv = inv_shape.data();
-  step.inv_len = inv_shape.size();
-  const std::function<void(std::size_t)> shard = [&](std::size_t s) {
-    pass(nodes, step, s * kShardNodes,
-         std::min(n_nodes, (s + 1) * kShardNodes));
-  };
+  double shape = 0.0;  // ladder: (n-1)·k
 
   double acc = grid.p0;   // Σ_{m<n} pₘ z^m, raw quadrature values
   double cum_mass = 0.0;  // Σ_{1≤m<n} pₘ
@@ -261,35 +213,61 @@ PfKernelResult pf_terms(const PfGrid& grid, double z, double rel_tol,
     rem_bound = zn * std::max(0.0, mass_tail - cum_mass);
     if (rem_bound <= rel_tol * acc) break;
 
-    if (!grid.ladder) {
-      step.a_hi = static_cast<double>(n) * k;
+    // In node order. A masked increment is +0.0, which cannot move this
+    // sum of non-negative products.
+    double term = 0.0;
+    if (grid.ladder) {
+      for (std::size_t j = 0; j < n_nodes; ++j) {
+        const double x = xs[j];
+        double t = tau[j];
+        double dq = 0.0;
+        for (long s = 0; s < grid.k_int; ++s) {
+          dq += t;
+          t *= x / (shape + static_cast<double>(s) + 1.0);
+        }
+        tau[j] = t;
+        term += fw[j] * dq;
+      }
+      shape += static_cast<double>(grid.k_int);
+    } else {
+      const double a_hi = static_cast<double>(n) * k;
+      double eps = 0.0;
+      double rho = 0.0;
       if (grid.prefactored) {
         // The iteration tolerance may relax as the term's certified
         // contribution budget z^n·tail shrinks relative to the
         // accumulated sum; an eps error on term n moves the result by
         // ≤ eps · rem_bound. Clamped: the floor is the fp resolution,
         // the cap keeps relaxed terms honest.
-        const double eps = acc > 0.0 ? rel_tol * acc / rem_bound : 1e-15;
-        step.eps = std::clamp(eps, 1e-15, 1e-6);
-        const double lg_cur = numeric::log_gamma(step.a_hi + 1.0);
-        step.rho = std::exp(lg_prev - lg_cur);
+        eps = std::clamp(acc > 0.0 ? rel_tol * acc / rem_bound : 1e-15,
+                         1e-15, 1e-6);
+        const double lg_cur = numeric::log_gamma(a_hi + 1.0);
+        rho = std::exp(lg_prev - lg_cur);
         lg_prev = lg_cur;
         // This term's series denominators, shared by every node.
         for (std::size_t i = 1; i < inv_shape.size(); ++i) {
-          inv_shape[i] = 1.0 / (step.a_hi + static_cast<double>(i));
+          inv_shape[i] = 1.0 / (a_hi + static_cast<double>(i));
         }
       }
+      for (std::size_t j = 0; j < n_nodes; ++j) {
+        const double x = xs[j];
+        double q_hi;
+        if (grid.prefactored) {
+          tau[j] *= grid.xk[j] * rho;
+          // x < a+1 runs the table-backed series; past the split,
+          // gamma_q_prefactored takes its continued-fraction branch.
+          q_hi = x < a_hi + 1.0
+                     ? 1.0 - tau[j] * p_series_sum(x, eps, inv_shape.data(),
+                                                   inv_shape.size())
+                     : numeric::gamma_q_prefactored(a_hi, x, tau[j], eps);
+        } else {
+          q_hi = gamma_q(a_hi, x);
+        }
+        const double diff = q_hi - q_prev[j];
+        q_prev[j] = q_hi;
+        term += fw[j] * (diff > 0.0 ? diff : 0.0);
+      }
     }
-    if (fork != nullptr) {
-      fork->run((n_nodes + kShardNodes - 1) / kShardNodes, shard);
-    } else {
-      pass(nodes, step, 0, n_nodes);
-    }
-    // In node order. A masked increment is +0.0, which cannot move this
-    // sum of non-negative products.
-    double term = 0.0;
-    for (std::size_t j = 0; j < n_nodes; ++j) term += fw[j] * node_d[j];
-    if (grid.ladder) step.shape += static_cast<double>(grid.k_int);
 
     term = std::max(0.0, term);
     cum_mass += term;
@@ -305,10 +283,10 @@ PfKernelResult pf_terms(const PfGrid& grid, double z, double rel_tol,
   return {acc / grid.total, terms, rem_bound / grid.total};
 }
 
-}  // namespace detail
+}  // namespace
 
 PfKernelResult pf_truncated(const PitchModel& pitch, double width, double z,
-                            double rel_tol, unsigned n_threads) {
+                            double rel_tol) {
   CNY_EXPECT(width >= 0.0);
   CNY_EXPECT(z >= 0.0 && z <= 1.0);
   CNY_EXPECT(rel_tol > 0.0);
@@ -317,15 +295,7 @@ PfKernelResult pf_truncated(const PitchModel& pitch, double width, double z,
   calls.add(1);
   if (width == 0.0) return {1.0, 0, 0.0};  // N ≡ 0, G ≡ 1
   if (z == 1.0) return {1.0, 0, 0.0};      // G(1) = total mass / total mass
-
-  const detail::PfGrid grid = detail::pf_setup(pitch, width);
-  // One fork serves every term of the query.
-  std::optional<exec::Fork> fork;
-  if ((n_threads == 0 ? exec::hardware_threads() : n_threads) > 1) {
-    fork.emplace(n_threads);
-  }
-  return detail::pf_terms(grid, z, rel_tol, detail::pf_node_pass(grid),
-                          fork ? &*fork : nullptr);
+  return pf_terms(pf_setup(pitch, width), z, rel_tol);
 }
 
 }  // namespace cny::cnt

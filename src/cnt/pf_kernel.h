@@ -3,7 +3,7 @@
 // The full-PMF path (count_distribution.h) materialises every term of the
 // CNT-count distribution out to n ≈ W/μ_S + 12σ before forming
 // p_F = G_N(W)(p_f) = Σ pₙ·p_fⁿ — ~10⁴ incomplete-gamma evaluations per
-// width query, the hot path of the W_min solver. This kernel computes the
+// width query. This kernel computes the
 // same quadrature values without building the PMF, with two structural
 // changes:
 //
@@ -24,18 +24,15 @@
 //     integer (CV = 1/√k: the Poisson case and its sub-Poisson relatives)
 //     the recurrence Q(a+1,x) = Q(a,x) + xᵃe⁻ˣ/Γ(a+1) makes each
 //     additional PMF term cost O(nodes) multiplies; otherwise each term is
-//     re-seeded per node with one upper incomplete gamma (still 3x fewer
-//     gamma evaluations per term than the full path, which recomputes
-//     f_e, Q(nk,·) and Q((n−1)k,·) at every node of every term).
+//     re-seeded per node with one upper incomplete gamma.
 //
-//     Each node's update within a term is independent of every other
-//     node's. Where the CPU has AVX2 the update runs four adjacent nodes
-//     per register (kernels/pf_nodes_avx2.cpp, an op-for-op replay of the
-//     scalar update), and with a thread budget > 1 the node loop is also
-//     sharded: fixed node ranges run on one exec::Fork per query. Either
-//     way each node's increment lands in its own slot and one thread sums
-//     them in node order; the truncation logic stays serial between
-//     terms, so every result bit is the same on every backend and budget.
+// No library path calls this kernel: p_F comes from cnt::count_pgf
+// (count_pgf.h), exact by residues and ~1000x cheaper. It stays as the
+// independent quadrature reference the tests and the repository benchmark
+// time and compare against. Its accuracy is bounded by the quadrature: it
+// throws when the grid's PMF mass deviates from 1 by 1e-6 (pitch CV above
+// ~1.6), and in the deep tail (p_F below ~1e-10) it is off by more than
+// its certified remainder suggests.
 #pragma once
 
 #include "cnt/pitch_model.h"
@@ -56,12 +53,9 @@ struct PfKernelResult {
 /// Evaluates the probability generating function E[z^N(W)] of the CNT count
 /// in a width-`width` window, truncated once the remainder is certifiably
 /// below `rel_tol` of the result. `z` in [0, 1]; z = p_f gives p_F(W).
-/// `n_threads` is the thread budget for the node loop (the caller counts
-/// as one; 0 = hardware concurrency): pure scheduling, every result bit is
-/// the same at every budget. Safe to call from a pool worker.
+/// Scalar and single-threaded; counts `cnt.pf_scalar_calls`.
 [[nodiscard]] PfKernelResult pf_truncated(const PitchModel& pitch,
                                           double width, double z,
-                                          double rel_tol = 1e-14,
-                                          unsigned n_threads = 1);
+                                          double rel_tol = 1e-14);
 
 }  // namespace cny::cnt

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <mutex>
 
-#include "cnt/pf_kernel.h"
+#include "cnt/count_pgf.h"
 #include "exec/thread_pool.h"
 #include "util/contracts.h"
 
@@ -32,36 +32,35 @@ FailureModel::FailureModel(const FailureModel& other)
   // pitch_/process_ are immutable after construction (assignment is
   // deleted), so reading them above without synchronisation is safe; the
   // mutable caches are copied through their own synchronisation.
-  auto interp = other.interp_.load(std::memory_order_acquire);
-  const bool has = interp != nullptr;
-  interp_.store(std::move(interp), std::memory_order_release);
-  has_interp_.store(has, std::memory_order_release);
+  interp_ = other.interpolant();
+  has_interp_.store(interp_ != nullptr, std::memory_order_release);
   const std::shared_lock<std::shared_mutex> lock(other.memo_mutex_);
   memo_ = other.memo_;
 }
 
 std::shared_ptr<const FailureModel::LogPfInterp> FailureModel::interpolant()
     const {
-  return interp_.load(std::memory_order_acquire);
+  const std::shared_lock<std::shared_mutex> lock(interp_mutex_);
+  return interp_;
 }
 
-double FailureModel::p_f(double width, unsigned n_threads) const {
+double FailureModel::p_f(double width) const {
   CNY_EXPECT(width >= 0.0);
   // Hottest read path in the solvers: a relaxed flag probe, then (only
-  // with a table installed) one atomic shared_ptr load — no lock either
-  // way. Concurrent enable_interpolation() publishes a fully built table
+  // with a table installed) a pointer copy under the shared lock.
+  // Concurrent enable_interpolation() publishes a fully built table
   // before raising the flag, so a snapshot is always safe to evaluate;
   // racing readers that miss the flag simply take the exact path.
   if (has_interp_.load(std::memory_order_relaxed)) {
-    if (const auto interp = interp_.load(std::memory_order_acquire);
+    if (const auto interp = interpolant();
         interp && width >= interp->w_lo && width <= interp->w_hi) {
       return std::exp(interp->log_pf(width));
     }
   }
-  return p_f_exact(width, n_threads);
+  return p_f_exact(width);
 }
 
-double FailureModel::p_f_exact(double width, unsigned n_threads) const {
+double FailureModel::p_f_exact(double width) const {
   CNY_EXPECT(width >= 0.0);
   {
     const std::shared_lock<std::shared_mutex> lock(memo_mutex_);
@@ -72,9 +71,7 @@ double FailureModel::p_f_exact(double width, unsigned n_threads) const {
   }
   // Evaluate outside any lock: p_F is a pure function, so concurrent
   // duplicate work is merely wasted effort, never an inconsistency.
-  const double value =
-      cnt::pf_truncated(pitch_, width, process_.p_fail(), 1e-14, n_threads)
-          .value;
+  const double value = cnt::count_pgf(pitch_, width, process_.p_fail());
   const std::unique_lock<std::shared_mutex> lock(memo_mutex_);
   if (const auto it = memo_find(memo_, width);
       it == memo_.end() || it->first != width) {
@@ -88,14 +85,12 @@ void FailureModel::enable_interpolation(double w_lo, double w_hi,
                                         unsigned n_threads) const {
   CNY_EXPECT(w_lo > 0.0 && w_hi > w_lo);
   CNY_EXPECT(knots >= 4);
-  if (const auto cur = interp_.load(std::memory_order_acquire);
+  if (const auto cur = interpolant();
       cur && cur->w_lo <= w_lo && cur->w_hi >= w_hi) {
     return;
   }
-  // Geometric knot spacing: the exact evaluation cost grows with W (the
-  // truncated kernel still walks O(p_f·W/μ_S) terms), while log p_F(W) is
-  // nearly linear at large W (Fig 2.1) — so spend the knots where they are
-  // cheap AND where the curvature lives.
+  // Geometric knot spacing: log p_F(W) is nearly linear at large W
+  // (Fig 2.1), so spend the knots where the curvature lives.
   std::vector<double> xs(knots), ys(knots);
   const double ratio = w_hi / w_lo;
   for (std::size_t i = 0; i < knots; ++i) {
@@ -103,12 +98,7 @@ void FailureModel::enable_interpolation(double w_lo, double w_hi,
                                        static_cast<double>(knots - 1));
   }
   xs.back() = w_hi;  // guard against pow() rounding shrinking the range
-  // One knot per task, claimed widest first: cost grows steeply with W, so
-  // handing out the expensive knots before the cheap ones balances the
-  // threads (LPT list scheduling, Graham 1969). Each knot's node loop
-  // fills the AVX2 lanes on its own.
-  exec::parallel_for(knots, n_threads, [&](std::size_t p) {
-    const std::size_t i = knots - 1 - p;
+  exec::parallel_for(knots, n_threads, [&](std::size_t i) {
     ys[i] = std::log(p_f_exact(xs[i]));
   });
   auto built = std::make_shared<const LogPfInterp>(
@@ -116,11 +106,10 @@ void FailureModel::enable_interpolation(double w_lo, double w_hi,
   // If a racing builder already installed a table covering this request,
   // keep it; otherwise publish ours so the requested range is served.
   // (One table at a time: a later call for a different range replaces it.)
-  auto cur = interp_.load(std::memory_order_acquire);
-  while (!(cur && cur->w_lo <= w_lo && cur->w_hi >= w_hi)) {
-    if (interp_.compare_exchange_weak(cur, built, std::memory_order_acq_rel,
-                                      std::memory_order_acquire)) {
-      break;
+  {
+    const std::unique_lock<std::shared_mutex> lock(interp_mutex_);
+    if (!(interp_ && interp_->w_lo <= w_lo && interp_->w_hi >= w_hi)) {
+      interp_ = std::move(built);
     }
   }
   has_interp_.store(true, std::memory_order_release);

@@ -8,7 +8,8 @@
 //   p_F(W) = Σ_N  p_f^N · Prob{N(W) = N}  =  G_{N(W)}(p_f)
 //
 // i.e. the count distribution's probability generating function at p_f,
-// evaluated through the truncated node-major kernel of cnt/pf_kernel.h.
+// evaluated in closed form by residues of its Laplace transform in W
+// (cnt/count_pgf.h).
 #pragma once
 
 #include <atomic>
@@ -17,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "cnt/count_distribution.h"
 #include "cnt/growth.h"
 #include "cnt/pitch_model.h"
 #include "cnt/process.h"
@@ -46,17 +46,15 @@ class FailureModel {
   /// Analytic p_F(W), eq. (2.2). Results are memoised per width because the
   /// solvers re-query the same widths. The read path is lock-light so
   /// concurrent solver threads never serialise: when interpolation is
-  /// enabled and `width` falls inside its range, an atomically loaded
-  /// interpolant snapshot answers with no lock at all; otherwise the memo
-  /// is consulted under a shared (reader) lock. `n_threads` is the thread
-  /// budget of an exact evaluation (cnt::pf_truncated); it never changes a
-  /// result bit.
-  [[nodiscard]] double p_f(double width, unsigned n_threads = 1) const;
+  /// enabled and `width` falls inside its range, an interpolant snapshot
+  /// copied under a shared (reader) lock answers; otherwise the memo is
+  /// consulted under a shared lock.
+  [[nodiscard]] double p_f(double width) const;
 
-  /// Always the analytic evaluation (the certified-truncation PGF kernel,
-  /// exact to ~1e-12 relative), bypassing any enabled interpolant. Memoised
-  /// and thread-safe.
-  [[nodiscard]] double p_f_exact(double width, unsigned n_threads = 1) const;
+  /// Always the analytic evaluation (cnt::count_pgf, exact to ~1e-13
+  /// relative, a few microseconds), bypassing any enabled interpolant.
+  /// Memoised and thread-safe.
+  [[nodiscard]] double p_f_exact(double width) const;
 
   /// Builds (first call) a monotone-cubic interpolant of log p_F over
   /// geometrically spaced knots in [w_lo, w_hi] and routes subsequent
@@ -105,13 +103,15 @@ class FailureModel {
 
   cnt::PitchModel pitch_;
   cnt::ProcessParams process_;
-  /// Interpolant snapshot, swapped in atomically so the hottest read path
-  /// (in-range p_f in warm sessions) takes no lock whatsoever.
-  /// `has_interp_` fronts it: a relaxed bool load keeps the no-interpolant
-  /// p_f() fast path from paying the shared_ptr atomic (which libstdc++
-  /// backs with a spinlock pool) on every memoised query.
+  /// Interpolant snapshot: readers copy the pointer under a shared lock
+  /// and evaluate outside it; a build publishes a complete table under the
+  /// unique lock. (libstdc++ 12's std::atomic<std::shared_ptr> releases
+  /// its load with a relaxed unlock, a race ThreadSanitizer reports once
+  /// builds overlap.) `has_interp_` fronts it, so the no-interpolant p_f()
+  /// path takes no lock on a memoised query.
   mutable std::atomic<bool> has_interp_{false};
-  mutable std::atomic<std::shared_ptr<const LogPfInterp>> interp_;
+  mutable std::shared_mutex interp_mutex_;
+  mutable std::shared_ptr<const LogPfInterp> interp_;  // interp_mutex_
   /// Exact-value memo: widths sorted for binary search, readers under a
   /// shared lock so concurrent cache hits proceed in parallel.
   mutable std::shared_mutex memo_mutex_;

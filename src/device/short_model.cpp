@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "cnt/count_distribution.h"
+#include "cnt/count_pgf.h"
 #include "numeric/roots.h"
 #include "util/contracts.h"
 
@@ -18,12 +18,10 @@ double ShortModel::p_short_device(double width) const {
   const double p_short = process_.p_short();
   if (p_short == 0.0 || width == 0.0) return 0.0;
   // Each of the N tubes is a surviving short independently w.p. p_short;
-  // the device is clean iff all tubes are non-shorts. The truncated kernel
-  // evaluates the PGF without materialising the PMF — the scenario engine
-  // calls this inside the combined W_min solve and the required-p_Rm
-  // bisection, where the full-PMF build (~70 ms per query) would dominate
-  // the whole flow.
-  return 1.0 - cnt::CountDistribution::pgf_at(pitch_, width, 1.0 - p_short);
+  // the device is clean iff all tubes are non-shorts. p_short is tiny
+  // (p_m·(1 − p_Rm)), so the complement is formed directly instead of as
+  // 1 − E[(1 − p_short)^N], which would cancel.
+  return cnt::count_pgf_complement(pitch_, width, p_short);
 }
 
 double ShortModel::mean_shorts(double width) const {

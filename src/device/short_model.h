@@ -23,7 +23,7 @@ class ShortModel {
   ShortModel(cnt::PitchModel pitch, cnt::ProcessParams process);
 
   /// Probability a device of width W retains >= 1 metallic CNT:
-  ///   p_S(W) = 1 - G_{N(W)}(1 - p_short)   (same PGF machinery as eq 2.2).
+  ///   p_S(W) = 1 - G_{N(W)}(1 - p_short)   (same PGF evaluator as eq 2.2).
   [[nodiscard]] double p_short_device(double width) const;
 
   /// Expected surviving m-CNT count in a device of width W.

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdint>
 #include <exception>
+#include <memory>
 
 #include "obs/metrics.h"
 
@@ -47,10 +47,9 @@ inline void cpu_relax() {
 #endif
 }
 
-/// Polls a helper makes for the next step before it sleeps: long enough to
-/// bridge the serial work a caller does between short steps, short enough
-/// that an idle fork never holds a core away from other pool work.
-constexpr int kHelperSpins = 4096;
+/// Polls parallel_for's caller makes for a helper's last index before it
+/// sleeps.
+constexpr int kCallerSpins = 4096;
 
 }  // namespace
 
@@ -93,131 +92,40 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
-/// Indices are numbered across the fork's whole life: step s owns
-/// [base, end) and the next step starts at this one's end, so `next` and
-/// `finished` never reset. A claim is a CAS of `next` below the `end` the
-/// claimant loaded; an index that is still unclaimed belongs to a step
-/// that cannot have finished, so a successful claim always lands in the
-/// caller's current step, and `base`/`body` are stable until it finishes.
-struct Fork::State {
-  std::atomic<std::uint64_t> next{0};      ///< first unclaimed index
-  std::atomic<std::uint64_t> end{0};       ///< one past the current step
-  std::atomic<std::uint64_t> finished{0};  ///< indices completed
-  std::atomic<std::uint32_t> epoch{0};     ///< bumped per step and on retire
-  std::atomic<bool> retired{false};
-  std::uint64_t base = 0;  ///< first index of the current step
+namespace {
+
+/// One parallel_for call's shared state. Helpers hold it by shared_ptr, so
+/// one that starts after the call has returned finds every index claimed
+/// and leaves without touching `body`.
+struct ForkState {
+  std::size_t n = 0;
   const std::function<void(std::size_t)>* body = nullptr;
+  std::atomic<std::size_t> next{0};      ///< first unclaimed index
+  std::atomic<std::size_t> finished{0};  ///< indices completed
   std::mutex error_mutex;
   std::exception_ptr error;
 
-  bool claim(std::uint64_t& index) {
-    const std::uint64_t limit = end.load(std::memory_order_acquire);
-    std::uint64_t cur = next.load(std::memory_order_relaxed);
-    while (cur < limit) {
-      if (next.compare_exchange_weak(cur, cur + 1,
-                                     std::memory_order_relaxed)) {
-        index = cur;
-        return true;
+  std::size_t claim() { return next.fetch_add(1, std::memory_order_relaxed); }
+
+  /// Runs index `i` (already claimed), then claims until none is left.
+  void help(std::size_t i) {
+    for (; i < n; i = claim()) {
+      try {
+        (*body)(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error) error = std::current_exception();
+      }
+      // The index that completes the call wakes a caller asleep on
+      // `finished`.
+      if (finished.fetch_add(1, std::memory_order_release) + 1 == n) {
+        finished.notify_one();
       }
     }
-    return false;
-  }
-
-  void execute(std::uint64_t index) {
-    try {
-      (*body)(static_cast<std::size_t>(index - base));
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(error_mutex);
-      if (!error) error = std::current_exception();
-    }
-    // The index that completes a step wakes a caller asleep on `finished`.
-    const std::uint64_t done =
-        finished.fetch_add(1, std::memory_order_release) + 1;
-    if (done == end.load(std::memory_order_relaxed)) finished.notify_one();
-  }
-
-  void help() {
-    for (;;) {
-      const std::uint32_t seen = epoch.load(std::memory_order_acquire);
-      std::uint64_t index;
-      while (claim(index)) execute(index);
-      if (retired.load(std::memory_order_acquire)) {
-        // Retired by a last step, whose `end` this claim now sees.
-        while (claim(index)) execute(index);
-        return;
-      }
-      for (int spin = 0; epoch.load(std::memory_order_acquire) == seen;
-           ++spin) {
-        if (spin == kHelperSpins) {
-          epoch.wait(seen, std::memory_order_acquire);
-          break;
-        }
-        cpu_relax();
-      }
-    }
-  }
-
-  void publish() {
-    epoch.fetch_add(1, std::memory_order_release);
-    epoch.notify_all();
   }
 };
 
-Fork::Fork(unsigned n_threads, ThreadPool* pool)
-    : state_(std::make_shared<State>()) {
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  const unsigned threads = n_threads == 0 ? hardware_threads() : n_threads;
-  const unsigned helpers = std::min(threads - 1, p.size());
-  for (unsigned t = 0; t < helpers; ++t) {
-    p.post([state = state_] { state->help(); });
-  }
-}
-
-Fork::~Fork() {
-  state_->retired.store(true, std::memory_order_release);
-  state_->publish();
-}
-
-void Fork::run(std::size_t n, const std::function<void(std::size_t)>& body) {
-  step(n, body, false);
-}
-
-void Fork::run_last(std::size_t n,
-                    const std::function<void(std::size_t)>& body) {
-  step(n, body, true);
-}
-
-void Fork::step(std::size_t n, const std::function<void(std::size_t)>& body,
-                bool last) {
-  if (n == 0) return;
-  State& s = *state_;
-  // No index is claimable here (next == end), so no helper reads these.
-  s.body = &body;
-  s.base = s.end.load(std::memory_order_relaxed);
-  const std::uint64_t step_end = s.base + n;
-  s.end.store(step_end, std::memory_order_release);
-  if (last) s.retired.store(true, std::memory_order_release);
-  s.publish();
-
-  std::uint64_t index;
-  while (s.claim(index)) s.execute(index);
-  // Whatever is left is running on a started helper: poll briefly, then
-  // sleep until the helper that finishes the step's last index wakes us.
-  std::uint64_t done = s.finished.load(std::memory_order_acquire);
-  for (int spin = 0; done < step_end && spin < kHelperSpins; ++spin) {
-    cpu_relax();
-    done = s.finished.load(std::memory_order_acquire);
-  }
-  while (done < step_end) {
-    s.finished.wait(done, std::memory_order_acquire);
-    done = s.finished.load(std::memory_order_acquire);
-  }
-  if (s.error) {
-    std::exception_ptr error = std::move(s.error);
-    s.error = nullptr;
-    std::rethrow_exception(error);
-  }
-}
+}  // namespace
 
 void parallel_for(std::size_t n, unsigned n_threads,
                   const std::function<void(std::size_t)>& body,
@@ -230,8 +138,31 @@ void parallel_for(std::size_t n, unsigned n_threads,
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  Fork(static_cast<unsigned>(std::min<std::size_t>(threads, n)), pool)
-      .run_last(n, body);
+  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
+  const auto state = std::make_shared<ForkState>();
+  state->n = n;
+  state->body = &body;
+  const std::size_t helpers =
+      std::min<std::size_t>({threads - 1u, n - 1, p.size()});
+  // The caller claims its first index before any helper exists, so it
+  // always takes part however fast the helpers wake.
+  const std::size_t first = state->claim();
+  for (std::size_t t = 0; t < helpers; ++t) {
+    p.post([state] { state->help(state->claim()); });
+  }
+  state->help(first);
+  // Whatever is left is running on a started helper: poll briefly, then
+  // sleep until the helper that finishes the last index wakes us.
+  std::size_t done = state->finished.load(std::memory_order_acquire);
+  for (int spin = 0; done < n && spin < kCallerSpins; ++spin) {
+    cpu_relax();
+    done = state->finished.load(std::memory_order_acquire);
+  }
+  while (done < n) {
+    state->finished.wait(done, std::memory_order_acquire);
+    done = state->finished.load(std::memory_order_acquire);
+  }
+  if (state->error) std::rethrow_exception(state->error);
 }
 
 void ThreadPool::worker_loop() {

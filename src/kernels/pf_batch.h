@@ -1,10 +1,12 @@
 // Header-only shim kept for perfbench/campaign_sweep.cpp alone.
 //
-// The library asks for p_F one width at a time (cnt::pf_truncated, or
-// device::FailureModel::p_f / p_f_exact); there is no batch path. This
-// loop exists only so the repository benchmark still builds unchanged, and
+// The library asks for p_F one width at a time (device::FailureModel::p_f /
+// p_f_exact, which call cnt::count_pgf); there is no batch path, and
+// cnt::pf_truncated is a test reference. This loop of the reference exists
+// only so the repository benchmark still builds unchanged, and
 // goes away with the benchmark change that stops calling it (ROADMAP item
-// 5). Nothing in src/, tools/, tests/, bench/ or examples/ may call it.
+// 5). Only tests/test_kernels.cpp calls it, to pin it bit-identical to
+// per-width calls; nothing in src/, tools/, bench/ or examples/ may.
 #pragma once
 
 #include <span>

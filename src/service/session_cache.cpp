@@ -79,7 +79,7 @@ Session::Session(SessionKey key, std::size_t interpolant_knots,
       model_(make_model(key_.process)) {
   // Warm the model over the whole solver bracket: every p_F query any
   // strategy of any request makes lands inside it, so after this one build
-  // the hot read path is the lock-free interpolant snapshot.
+  // the hot read path is the interpolant snapshot.
   const yield::WminRequest bracket;
   obs::Span span(trace, "interpolant_build", "session");
   span.arg("session", canonical_);

@@ -13,8 +13,24 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace cny {
+
+namespace detail {
+/// `file` from its last "/src/" on (else its base name): the message names
+/// the source file, never the directory the tree was built in, so the same
+/// failure reads the same from every checkout.
+[[nodiscard]] inline std::string_view source_relative(std::string_view file) {
+  if (const auto at = file.rfind("/src/"); at != std::string_view::npos) {
+    return file.substr(at + 5);
+  }
+  if (const auto at = file.rfind('/'); at != std::string_view::npos) {
+    return file.substr(at + 1);
+  }
+  return file;
+}
+}  // namespace detail
 
 /// Exception thrown when a contract (pre- or post-condition) is violated.
 class ContractViolation : public std::logic_error {
@@ -22,7 +38,8 @@ class ContractViolation : public std::logic_error {
   ContractViolation(const char* kind, const char* condition, const char* file,
                     int line, const std::string& message)
       : std::logic_error(std::string(kind) + " failed: " + condition + " at " +
-                         file + ":" + std::to_string(line) +
+                         std::string(detail::source_relative(file)) + ":" +
+                         std::to_string(line) +
                          (message.empty() ? "" : " — " + message)) {}
 };
 

@@ -105,16 +105,18 @@ namespace {
 /// Relaxation of the DirectionalOnly strategy: conditional MC over the
 /// unmodified library's window-offset diversity at the W_min operating
 /// point (iterated once: relaxation depends weakly on the width used).
+/// A W_min below every device width leaves no critical region: nothing is
+/// upsized, so correlation has nothing to relax (1).
 double directional_relaxation(const netlist::Design& design,
                               const device::FailureModel& model,
                               const FlowParams& params, double w_probe) {
   const auto offsets = layout::window_offsets(design, w_probe);
-  CNY_EXPECT_MSG(!offsets.empty(), "design has no critical regions");
+  if (offsets.empty()) return 1.0;
   std::vector<geom::Interval> windows;
   windows.reserve(offsets.size());
   for (const auto& o : offsets) windows.push_back({o.y, o.y + w_probe});
 
-  const double p_f = model.p_f(w_probe, params.n_threads);
+  const double p_f = model.p_f(w_probe);
   const double lambda_s = -std::log(p_f) / w_probe;
   rng::Xoshiro256 rng(rng::derive_seed(params.seed, 0xF10));
   const exec::McPolicy policy{params.n_threads, params.mc_streams};
@@ -219,7 +221,6 @@ FlowResult run_flow(const celllib::Library& lib,
     req.yield_desired = params.yield_desired;
     req.relaxation = relaxation;
     req.short_mode_yield = short_yield;
-    req.n_threads = params.n_threads;
     return solve_w_min(spectrum, model, req);
   };
 
@@ -276,9 +277,9 @@ FlowResult run_flow(const celllib::Library& lib,
   // directional, aligned 1 row, aligned 2 rows), so the error a caller
   // sees does not depend on scheduling either.
   //
-  // Every solve opens on the same start pair. It is evaluated once, at
-  // budget 1, before the solves fork, so concurrent solves never race to
-  // compute the same exact p_F.
+  // Every solve opens on the same start pair. It is evaluated once, before
+  // the solves fork, so concurrent solves never race to compute the same
+  // exact p_F.
   for (const double w : start_pair(bracket.w_lo, bracket.w_hi)) {
     (void)model.p_f(w);
   }
@@ -309,7 +310,7 @@ FlowResult run_flow(const celllib::Library& lib,
   dir_relax = directional_relaxation(design, model, params, base.w_min);
   if (engine.length_active()) {
     const double lambda_s =
-        -std::log(model.p_f(base.w_min, params.n_threads)) / base.w_min;
+        -std::log(model.p_f(base.w_min)) / base.w_min;
     length_scale = engine.aligned_length_scale(lambda_s, base.w_min);
   }
 

@@ -30,7 +30,7 @@ using Trail = std::vector<Sample>;
 /// bracket is open above, so such a step evaluates w_hi itself. Returns the
 /// predicted root once the next step is within 1e-6 nm, unevaluated.
 double invert(const device::FailureModel& model, double p_f_target,
-              double w_lo, double w_hi, Trail& trail, unsigned n_threads) {
+              double w_lo, double w_hi, Trail& trail) {
   CNY_EXPECT(p_f_target > 0.0 && p_f_target < 1.0);
   CNY_EXPECT(w_lo > 0.0 && w_hi > w_lo);
   const double target = std::log(p_f_target);
@@ -63,7 +63,7 @@ double invert(const device::FailureModel& model, double p_f_target,
     if (!(w > a && w < b)) w = closed ? 0.5 * (a + b) : w_hi;
     // w_hi is only ever reached open, so it is never returned unevaluated.
     if (w < w_hi && std::fabs(w - p1.w) <= 1e-6) return w;
-    trail.push_back({w, std::log(model.p_f(w, n_threads))});
+    trail.push_back({w, std::log(model.p_f(w))});
   }
   CNY_ENSURE_MSG(false, "p_F inversion did not converge");
   return 0.0;  // unreachable
@@ -83,8 +83,7 @@ WminResult solve_open(const WidthSpectrum& spectrum,
     const double target =
         budget / static_cast<double>(m_min) * request.relaxation;
     CNY_EXPECT_MSG(target < 1.0, "yield target unreachable: p_F* >= 1");
-    const double w = invert(model, target, request.w_lo, request.w_hi, trail,
-                            request.n_threads);
+    const double w = invert(model, target, request.w_lo, request.w_hi, trail);
     // Recount: devices that would sit at the threshold after upsizing. None
     // means every device already exceeds it: no upsizing at all.
     std::uint64_t count = m_min;
@@ -115,7 +114,7 @@ std::array<double, 2> start_pair(double w_lo, double w_hi) {
 double invert_p_f(const device::FailureModel& model, double p_f_target,
                   double w_lo, double w_hi) {
   Trail trail;
-  return invert(model, p_f_target, w_lo, w_hi, trail, 1);
+  return invert(model, p_f_target, w_lo, w_hi, trail);
 }
 
 WminResult solve_w_min(const WidthSpectrum& spectrum,

@@ -44,10 +44,6 @@ struct WminRequest {
   /// solve unchanged; a hook that evaluates to exactly 1 (p_Rm = 1)
   /// reproduces the open-only result bit for bit.
   std::function<double(double)> short_mode_yield;
-  /// Thread budget of each exact p_F query (FailureModel::p_f); 0 =
-  /// hardware concurrency. Scheduling only: the result is the same at
-  /// every budget.
-  unsigned n_threads = 1;
 };
 
 struct WminResult {

@@ -108,15 +108,18 @@ TEST(FailureModel, CacheReturnsIdenticalValues) {
 }
 
 TEST(FailureModel, ExactPathMatchesFullPmfPgf) {
-  // p_f_exact now runs the truncated kernel; it must agree with the
-  // full-PMF reference evaluation to ≤ 1e-12 relative on the Fig 2.1 grid.
+  // p_f_exact runs the residue evaluator, exact to ~1e-15 here against
+  // multiprecision Talbot inversion (tests/test_count_pgf.cpp). The
+  // full-PMF path is a Gauss–Legendre quadrature whose own error at CV 0.9
+  // is 3e-11 to 1.1e-10 relative on this grid (against the same Talbot
+  // values), so the two agree to that quadrature error, not to 1e-12.
   const cny::cnt::PitchModel pitch(4.0, 0.9);
   const auto proc = cny::cnt::fig21_worst();
   const FailureModel model(pitch, proc);
   for (double w = 20.0; w <= 180.0; w += 16.0) {
     const cny::cnt::CountDistribution full(pitch, w);
     const double reference = full.pgf(proc.p_fail());
-    EXPECT_LE(std::fabs(model.p_f_exact(w) - reference) / reference, 1e-12)
+    EXPECT_LE(std::fabs(model.p_f_exact(w) - reference) / reference, 2e-10)
         << "w=" << w;
   }
 }

@@ -63,16 +63,15 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
 }
 
 TEST(Fork, EveryStepRunsEachIndexOnceAndSeesThePreviousStep) {
-  // Many short steps on one fork, the term-loop pattern: step s reads what
-  // step s-1 wrote to other indices' slots, so a missing happens-before
-  // edge between steps shows up as a wrong sum (and under TSan as a race).
+  // Many short parallel_for calls in a row: call s reads what call s-1
+  // wrote to other indices' slots, so a missing happens-before edge
+  // between calls shows up as a wrong sum (and under TSan as a race).
   constexpr std::size_t kSlots = 37;
   std::vector<long> prev(kSlots, 0);
   std::vector<long> cur(kSlots, 0);
-  exec::Fork fork(4);
   for (long step = 1; step <= 200; ++step) {
     std::vector<std::atomic<int>> hits(kSlots);
-    fork.run(kSlots, [&](std::size_t i) {
+    exec::parallel_for(kSlots, 4, [&](std::size_t i) {
       hits[i].fetch_add(1);
       cur[i] = prev[(i + 1) % kSlots] + 1;
     });
@@ -83,24 +82,26 @@ TEST(Fork, EveryStepRunsEachIndexOnceAndSeesThePreviousStep) {
 }
 
 TEST(Fork, PropagatesTheFirstExceptionAndStaysUsable) {
-  exec::Fork fork(3);
   std::atomic<int> ran{0};
-  EXPECT_THROW(fork.run(16,
-                        [&](std::size_t i) {
-                          ran.fetch_add(1);
-                          if (i == 5) throw std::runtime_error("boom");
-                        }),
+  EXPECT_THROW(exec::parallel_for(16, 3,
+                                  [&](std::size_t i) {
+                                    ran.fetch_add(1);
+                                    if (i == 5) {
+                                      throw std::runtime_error("boom");
+                                    }
+                                  }),
                std::runtime_error);
-  EXPECT_EQ(ran.load(), 16);  // the step still completes every index
+  EXPECT_EQ(ran.load(), 16);  // the call still completes every index
   std::atomic<int> after{0};
-  fork.run(8, [&](std::size_t) { after.fetch_add(1); });
+  exec::parallel_for(8, 3, [&](std::size_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 8);
 }
 
 TEST(Fork, CallerFinishesAloneWhenNoHelperStartsAndLateHelpersAreHarmless) {
-  // A one-worker pool whose worker is parked: the fork's helpers cannot
-  // start, so the caller must run every index itself and never wait on
-  // them. They start only after the fork is gone, and must find it retired.
+  // A one-worker pool whose worker is parked: parallel_for's helpers
+  // cannot start, so the caller must run every index itself and never wait
+  // on them. They start only after the calls have returned, and must find
+  // nothing left to claim.
   std::atomic<bool> parked{false};
   std::atomic<bool> release{false};
   exec::ThreadPool pool(1);  // joined before the flags above go away
@@ -110,23 +111,19 @@ TEST(Fork, CallerFinishesAloneWhenNoHelperStartsAndLateHelpersAreHarmless) {
   });
   while (!parked.load()) std::this_thread::yield();
   std::size_t total = 0;
-  {
-    exec::Fork fork(4, &pool);
-    for (int step = 0; step < 10; ++step) {
-      fork.run(5, [&](std::size_t i) { total += i; });
-    }
+  for (int step = 0; step < 10; ++step) {
+    exec::parallel_for(5, 4, [&](std::size_t i) { total += i; }, &pool);
   }
   EXPECT_EQ(total, 100u);
-  release.store(true);  // the late helper runs now; ~ThreadPool drains it
+  release.store(true);  // the late helpers run now; ~ThreadPool drains them
 }
 
 TEST(Fork, ParallelForHelpersReturnToThePoolOnceNothingIsLeftToClaim) {
-  // parallel_for is a fork's last step: a helper that runs out of indices
-  // must go back to the pool while the caller is still busy, not sleep
-  // until the fork is destroyed. The pool has one worker; its helper
-  // claims an index and posts a probe there, and the caller's index waits
-  // for the probe to run. A helper held by the fork keeps the probe queued
-  // until the caller gives up.
+  // A helper that runs out of indices must go back to the pool while the
+  // caller is still busy, not wait for the call to end. The pool has one
+  // worker; its helper claims an index and posts a probe there, and the
+  // caller's index waits for the probe to run. A helper held by the call
+  // keeps the probe queued until the caller gives up.
   exec::ThreadPool pool(1);
   std::atomic<bool> probe_ran{false};
   std::atomic<bool> probe_posted{false};

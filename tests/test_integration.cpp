@@ -193,28 +193,65 @@ TEST(Integration, CanonicalFlowSolvesMakeAtMostSixteenPfQueries) {
 }
 
 TEST(Integration, CanonicalColdFlowMakesAtMostSeventeenExactKernelCalls) {
-  // Deterministic work-count gate for the scalar p_F kernel: the shared
-  // start pair (2 queries), the secant queries of the four solves and the
-  // directional probe. The total bound is the one the flow has always had:
-  // 15 secant and probe queries plus the 2 start-pair widths. A budget of
-  // 4 shards each query's nodes; it must not add queries.
+  // Deterministic work-count gate for the p_F evaluator: the shared start
+  // pair (2 queries), the secant queries of the four solves and the
+  // directional probe make exactly 17 residue evaluations, and the
+  // quadrature reference never runs, at any thread count.
   const auto lib = celllib::make_nangate45_like();
   const auto design = netlist::make_openrisc_like(lib);
   for (const unsigned threads : {1u, 4u}) {
     const device::FailureModel model(cnt::PitchModel(4.0, 0.9),
                                      cnt::fig21_worst());
-    const std::uint64_t before = counter_value("cnt.pf_scalar_calls");
+    const std::uint64_t before = counter_value("cnt.pgf_calls");
+    const std::uint64_t reference = counter_value("cnt.pf_scalar_calls");
     (void)yield::run_flow(lib, design, model, cold_exact_params(threads));
-    const std::uint64_t calls = counter_value("cnt.pf_scalar_calls") - before;
-    EXPECT_GE(calls, 1u) << "threads=" << threads;
-    EXPECT_LE(calls, 17u) << "threads=" << threads;
+    EXPECT_EQ(counter_value("cnt.pgf_calls") - before, 17u)
+        << "threads=" << threads;
+    EXPECT_EQ(counter_value("cnt.pf_scalar_calls") - reference, 0u)
+        << "threads=" << threads;
   }
 }
 
+TEST(Integration, FlowBelowEveryDeviceWidthUpsizesNothing) {
+  // p_f = 0.001: the uncorrelated W_min (~69.3 nm) is below every device
+  // width, so no device is critical. The answer is "no upsizing" — M_min 0
+  // and a directional relaxation of 1 — not an error.
+  const auto lib = celllib::make_nangate45_like();
+  const auto design = netlist::make_openrisc_like(lib);
+  cnt::ProcessParams process;
+  process.p_metallic = 0.001;
+  process.p_remove_s = 0.0;
+  const device::FailureModel model(cnt::PitchModel(4.0, 0.9), process);
+  const auto result =
+      yield::run_flow(lib, design, model, cold_exact_params(1));
+  EXPECT_EQ(result.m_min_uncorrelated, 0u);
+  ASSERT_EQ(result.strategies.size(), 4u);
+  EXPECT_EQ(result.strategies[1].relaxation, 1.0);
+  EXPECT_EQ(result.strategies[1].w_min, result.strategies[0].w_min);
+  EXPECT_NEAR(result.strategies[0].w_min, 69.3, 0.05);
+  for (const auto& s : result.strategies) EXPECT_EQ(s.power_penalty, 0.0);
+}
+
+TEST(Integration, HighPitchCvFlowReturnsValues) {
+  // CV 2: past where the quadrature reference loses its PMF mass.
+  const auto lib = celllib::make_nangate45_like();
+  const auto design = netlist::make_openrisc_like(lib);
+  const device::FailureModel model(cnt::PitchModel(4.0, 2.0),
+                                   cnt::fig21_worst());
+  const auto result =
+      yield::run_flow(lib, design, model, cold_exact_params(4));
+  ASSERT_EQ(result.strategies.size(), 4u);
+  for (const auto& s : result.strategies) {
+    EXPECT_GT(s.w_min, 4.0);
+    EXPECT_LT(s.w_min, 400.0);
+  }
+  EXPECT_LT(result.strategies[2].w_min, result.strategies[0].w_min);
+}
+
 TEST(Integration, ColdExactFlowResponseBytesIgnoreThreadCount) {
-  // The sharded kernel's end-to-end pin: with the interpolant off every
-  // p_F the response depends on comes from the exact kernel, run at the
-  // flow's thread budget.
+  // With the interpolant off every p_F the response depends on comes from
+  // the exact evaluator; the flow's thread budget only schedules the
+  // solves and the MC.
   const auto lib = celllib::make_nangate45_like();
   const auto design = netlist::make_openrisc_like(lib);
   std::string reference;

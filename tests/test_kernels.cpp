@@ -1,9 +1,7 @@
-// Pins for the kernel-backend layer (src/kernels/): the dispatched p_F
-// kernel must be *bit-identical* to its scalar reference on every
-// backend, and a full run_flow response must hash to one golden value in
-// every build (CI runs this suite in the default AVX2 build and in a
-// -DCNY_SIMD=OFF build). These tests are the contract that makes the
-// backend a pure speed matter.
+// Pins for the kernel layer (src/kernels/) and the MC kernels: the
+// perfbench batch shim must be bit-identical to per-width calls of the
+// reference p_F kernel, the backend stamp must read its constants, and a
+// full run_flow response must hash to one golden value.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +13,6 @@
 #include "celllib/generator.h"
 #include "cnt/growth.h"
 #include "cnt/pf_kernel.h"
-#include "cnt/pf_kernel_internal.h"
 #include "device/failure_model.h"
 #include "netlist/design_generator.h"
 #include "campaign/spec.h"
@@ -25,6 +22,7 @@
 #include "cnt/process.h"
 #include "geom/interval.h"
 #include "kernels/dispatch.h"
+#include "kernels/pf_batch.h"
 #include "obs/metrics.h"
 #include "rng/distributions.h"
 #include "rng/engine.h"
@@ -37,31 +35,21 @@ using cny::cnt::PitchModel;
 
 std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-/// The scalar reference for one width: pf_truncated's short-circuits,
-/// then the term loop with every node update on pf_nodes_scalar.
-cny::cnt::PfKernelResult reference(const PitchModel& pitch, double width,
-                                   double z, double rel_tol) {
-  if (width == 0.0 || z == 1.0) return {1.0, 0, 0.0};
-  return cny::cnt::detail::pf_terms(cny::cnt::detail::pf_setup(pitch, width),
-                                    z, rel_tol,
-                                    &cny::cnt::detail::pf_nodes_scalar);
-}
-
-/// Exact-bits comparison of the dispatched kernel, one query per width,
-/// against the scalar reference. Runs on every backend: on a scalar one
-/// it pins the short-circuits and the default budget.
+/// Exact-bits comparison of the perfbench batch shim against one
+/// cnt::pf_truncated call per width.
 void expect_widths_match_scalar(const PitchModel& pitch,
                                 const std::vector<double>& widths, double z,
                                 double rel_tol) {
+  const auto batch =
+      cny::kernels::pf_truncated_batch(pitch, widths, z, rel_tol);
+  ASSERT_EQ(batch.size(), widths.size());
   for (std::size_t i = 0; i < widths.size(); ++i) {
-    const auto got = cny::cnt::pf_truncated(pitch, widths[i], z, rel_tol);
-    const auto ref = reference(pitch, widths[i], z, rel_tol);
-    EXPECT_EQ(bits_of(got.value), bits_of(ref.value))
-        << "value width " << i << " w=" << widths[i] << " z=" << z
-        << " backend=" << cny::kernels::backend_name();
-    EXPECT_EQ(got.terms, ref.terms)
+    const auto ref = cny::cnt::pf_truncated(pitch, widths[i], z, rel_tol);
+    EXPECT_EQ(bits_of(batch[i].value), bits_of(ref.value))
+        << "value width " << i << " w=" << widths[i] << " z=" << z;
+    EXPECT_EQ(batch[i].terms, ref.terms)
         << "terms width " << i << " w=" << widths[i] << " z=" << z;
-    EXPECT_EQ(bits_of(got.remainder_bound), bits_of(ref.remainder_bound))
+    EXPECT_EQ(bits_of(batch[i].remainder_bound), bits_of(ref.remainder_bound))
         << "remainder width " << i << " w=" << widths[i] << " z=" << z;
   }
 }
@@ -96,21 +84,15 @@ TEST(PfBatch, ExtremeTolerancesAndWideWindowFallback) {
                                rel_tol);
   }
   // width/θ ≥ 650 (θ = 4·0.81 = 3.24 → width ≥ 2106) rides the gamma_q
-  // fallback, which runs the scalar node update on every backend.
+  // fallback.
   expect_widths_match_scalar(pitch, {2200.0, 30.0, 2500.0, 45.0}, 0.5,
                              1e-12);
 }
 
 TEST(Dispatch, ReportsConsistentState) {
-  // One rule: AVX2 exactly when compiled in AND the CPU reports it.
-  bool cpu_avx2 = false;
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-  cpu_avx2 = __builtin_cpu_supports("avx2") != 0;
-#endif
-  EXPECT_EQ(cny::kernels::simd_supported(),
-            cny::kernels::simd_compiled() && cpu_avx2);
-  EXPECT_STREQ(cny::kernels::backend_name(),
-               cny::kernels::simd_supported() ? "avx2" : "scalar");
+  // No SIMD backend exists: the benchmark host stamp reads constants.
+  EXPECT_FALSE(cny::kernels::simd_compiled());
+  EXPECT_STREQ(cny::kernels::backend_name(), "scalar");
 }
 
 TEST(McKernels, WindowSweepMatchesPerWindowLowerBound) {
@@ -171,7 +153,7 @@ TEST(McKernels, FunctionalPositionsMatchesHistoricalFusedLoop) {
 
 TEST(McKernels, ChipYieldBitEqualAcrossThreads) {
   // The full MC determinism contract: (seed, n_streams) fixes the result;
-  // worker threads don't. CI runs it in both the AVX2 and the scalar build.
+  // worker threads don't.
   const PitchModel pitch(4.0, 0.9);
   const auto proc = cny::cnt::fig21_mid();
   const cny::cnt::DirectionalGrowth growth(pitch, proc, 2.0e5);
@@ -197,13 +179,10 @@ TEST(McKernels, ChipYieldBitEqualAcrossThreads) {
 }
 
 TEST(Kernels, RunFlowResponseMatchesGoldenHashOnEveryBackend) {
-  // The end-to-end backend pin: a full run_flow — solver iterations,
-  // interpolant build, start-pair queries, conditional MC — must
-  // produce the *same bytes* on the wire whichever backend ran the
-  // kernels. The AVX2 build and the -DCNY_SIMD=OFF build must both hash to
-  // this constant. A drift of a few ulp in one width's p_F can round away
-  // before it reaches the response; the per-width test above catches
-  // those. A deliberate numerics change re-pins the constant.
+  // The end-to-end pin: a full run_flow — solver iterations, interpolant
+  // build, start-pair queries, conditional MC — must produce the *same
+  // bytes* on the wire in every build. A deliberate numerics change
+  // re-pins the constant.
   const auto lib = cny::celllib::make_nangate45_like();
   const auto design = cny::netlist::make_openrisc_like(lib);
   cny::yield::FlowParams params;
@@ -216,39 +195,25 @@ TEST(Kernels, RunFlowResponseMatchesGoldenHashOnEveryBackend) {
                                         cny::cnt::fig21_mid());
   const std::string encoded = cny::service::encode_flow_response(
       cny::yield::run_flow(lib, design, model, params));
-  EXPECT_EQ(cny::campaign::fnv1a64(encoded), 0xbaeaac221a32c2a2ULL)
-      << "backend=" << cny::kernels::backend_name() << "\n"
+  EXPECT_EQ(cny::campaign::fnv1a64(encoded), 0xe521164229c83bd3ULL)
       << encoded;
 }
 
-// The 65-knot session table's kernel work is a pure function of the knot
-// count: one exact query per knot, at every thread count. With AVX2 every
-// knot runs the node-lane pass (all are prefactored).
+// The 65-knot session table's p_F work is a pure function of the knot
+// count: one residue evaluation per knot, and no call of the quadrature
+// reference, at every thread count.
 TEST(Kernels, InterpolantBuildWorkCountIsPinned) {
   const PitchModel pitch(4.0, 0.9);
-  constexpr double kLo = 4.0;
-  constexpr double kHi = 400.0;
   constexpr std::size_t kKnots = 65;
-  auto& calls = cny::obs::Registry::global().counter("cnt.pf_scalar_calls");
+  auto& calls = cny::obs::Registry::global().counter("cnt.pgf_calls");
+  auto& reference = cny::obs::Registry::global().counter("cnt.pf_scalar_calls");
   for (const unsigned threads : {1u, 4u}) {
     const std::uint64_t calls0 = calls.value();
+    const std::uint64_t reference0 = reference.value();
     const cny::device::FailureModel model(pitch, cny::cnt::fig21_mid());
-    model.enable_interpolation(kLo, kHi, kKnots, threads);
+    model.enable_interpolation(4.0, 400.0, kKnots, threads);
     EXPECT_EQ(calls.value() - calls0, kKnots) << "threads=" << threads;
-  }
-  if (!cny::kernels::simd_supported()) return;
-  // The knot positions enable_interpolation builds; the node pass is
-  // either pf_nodes_scalar or the AVX2 one.
-  for (std::size_t i = 0; i < kKnots; ++i) {
-    const double x =
-        i + 1 == kKnots
-            ? kHi
-            : kLo * std::pow(kHi / kLo, static_cast<double>(i) /
-                                            static_cast<double>(kKnots - 1));
-    const auto grid = cny::cnt::detail::pf_setup(pitch, x);
-    EXPECT_NE(cny::cnt::detail::pf_node_pass(grid),
-              &cny::cnt::detail::pf_nodes_scalar)
-        << "knot " << i << " w=" << x;
+    EXPECT_EQ(reference.value() - reference0, 0u) << "threads=" << threads;
   }
 }
 

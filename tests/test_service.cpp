@@ -649,6 +649,42 @@ TEST(ServiceEvaluate, GroupOutcomesKeepOrderAndFailOnlyTheInfeasible) {
   }
 }
 
+// Every corner the wire validates gets a value or a typed, path-free error:
+// a pitch CV past the quadrature reference's reach and a W_min below every
+// device width (no critical region, so nothing is upsized and the
+// directional relaxation is 1) evaluate; an honest infeasibility fails with
+// evaluation_failed, naming its source file relative to src/ only.
+TEST(ServiceEvaluate, ValidatedCornersGetValuesOrPathFreeErrors) {
+  FlowRequest high_cv = small_request(5, 0.9);
+  high_cv.process.pitch_cv = 2.5;  // W_min > 400 nm at M = 1e8; 1e6 fits
+  high_cv.params.chip_transistors = 1e6;
+  FlowRequest no_critical = small_request(5, 0.9);
+  no_critical.process.p_metallic = 0.001;
+  no_critical.process.p_remove_s = 0.0;
+  FlowRequest too_low = small_request(5, 0.9);
+  too_low.process.pitch_mean_nm = 1000.0;
+  too_low.process.p_metallic = 0.999;
+  const std::vector<FlowRequest> requests = {high_cv, no_critical, too_low};
+  const std::vector<const FlowRequest*> pointers = {
+      &requests[0], &requests[1], &requests[2]};
+  service::SessionCache cache(3, kTestKnots, 1);
+  const auto outcomes = service::evaluate_grouped(cache, pointers, 2);
+  ASSERT_EQ(outcomes.size(), 3u);
+  EXPECT_TRUE(outcomes[0].error_code.empty()) << outcomes[0].error_message;
+  ASSERT_TRUE(outcomes[1].error_code.empty()) << outcomes[1].error_message;
+  const auto none = service::flow_result_from_json(
+      Json::parse(outcomes[1].result_json));
+  EXPECT_EQ(none.m_min_uncorrelated, 0u);
+  EXPECT_EQ(none.strategies.at(1).relaxation, 1.0);
+  EXPECT_EQ(none.strategies.at(1).w_min, none.strategies.at(0).w_min);
+  const std::string& message = outcomes[2].error_message;
+  EXPECT_EQ(outcomes[2].error_code, "evaluation_failed");
+  EXPECT_NE(message.find("W bracket too low"), std::string::npos) << message;
+  EXPECT_NE(message.find(" at yield/wmin_solver.cpp:"), std::string::npos)
+      << message;
+  EXPECT_EQ(message.find(" at /"), std::string::npos) << message;
+}
+
 // The session cache keys on the derived corner: a RemovalFrontier scenario
 // and a plain request stating the earned corner explicitly share one warm
 // model.

@@ -11,9 +11,8 @@ Usage:
 When given directories, files with matching names are compared pairwise
 (benchmarks present on only one side are listed, not compared).
 
---stamp writes a "host" block (core count, SIMD-relevant CPU flags, the
-CNY_SIMD build setting from the environment) into each named run JSON and
-exits; comparisons surface that block so a diff between runs recorded on
+--stamp writes a "host" block (core count and SIMD-relevant CPU flags)
+into each named run JSON and exits; comparisons surface that block so a diff between runs recorded on
 different hosts is visible in the report instead of masquerading as a
 code change.
 
@@ -77,9 +76,7 @@ def load_benchmarks(path, agg="median"):
 
 def host_metadata():
     """The recording host, as much of it as the bench numbers depend on:
-    core count, the CPU features the kernel backends dispatch on, and the
-    CNY_SIMD build setting (exported by the recording script; benchmarks
-    cannot see the CMake cache)."""
+    core count and the CPU features the compiler may use."""
     flags = set()
     try:
         with open("/proc/cpuinfo") as f:
@@ -93,14 +90,12 @@ def host_metadata():
     return {
         "cores": os.cpu_count(),
         "cpu_flags": [fl for fl in interesting if fl in flags],
-        "cny_simd": os.environ.get("CNY_SIMD", "unknown"),
     }
 
 
 def format_host(host):
     flags = "+".join(host.get("cpu_flags", [])) or "none"
-    return (f"{host.get('cores', '?')} core(s), flags {flags}, "
-            f"CNY_SIMD={host.get('cny_simd', 'unknown')}")
+    return f"{host.get('cores', '?')} core(s), flags {flags}"
 
 
 def stamp_files(paths):

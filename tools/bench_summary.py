@@ -6,7 +6,7 @@ folds them into a single compact document that trend dashboards (or a
 plain `jq`) can consume without knowing Google Benchmark's schema:
 
   {
-    "host": {"cores": ..., "cpu_flags": [...], "cny_simd": "..."},
+    "host": {"cores": ..., "cpu_flags": [...]},
     "benchmarks": {
       "BM_ServeFlow/real_time": {
         "real_time_ns": 123456.0,

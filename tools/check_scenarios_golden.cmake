@@ -3,9 +3,9 @@
 # (tools/golden/scenarios_rows.txt). The rows are the PR 5 scenarios output
 # — the campaign-runner rebuild of the subcommand must not move a digit.
 #
-# Only lines starting with '|' are compared: the footer carries timings and
-# error lines embed absolute source paths (CNY_EXPECT), neither of which is
-# stable across machines or checkouts.
+# Only lines starting with '|' are compared: the footer carries timings,
+# and error lines carry a contract's source file and line number (relative
+# to src/, CNY_EXPECT), which move with unrelated edits.
 #
 # Usage:
 #   cmake -DCLI=<cntyield_cli> -DGOLDEN=<scenarios_rows.txt>
